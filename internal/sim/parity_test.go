@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/mpi"
 )
 
 // The paper's central software property: the parallel decomposition changes
@@ -203,4 +207,135 @@ func TestParallelOneSSetPerWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameTrajectory(t, seq, par)
+}
+
+// engineRecord captures what a run exposes besides its Result: every
+// Observer callback's (generation, Events) and the encoded bytes of every
+// checkpoint snapshot, in the order they were written.
+type engineRecord struct {
+	events []observedGen
+	snaps  [][]byte
+}
+
+type observedGen struct {
+	gen int
+	ev  Events
+}
+
+// Save implements CheckpointSink by encoding each snapshot through
+// checkpoint.Write, so two runs compare on the bytes a file would hold.
+func (r *engineRecord) Save(s *checkpoint.Snapshot) error {
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, s); err != nil {
+		return err
+	}
+	r.snaps = append(r.snaps, buf.Bytes())
+	return nil
+}
+
+// Latest implements CheckpointSink.
+func (r *engineRecord) Latest() (*checkpoint.Snapshot, error) {
+	if len(r.snaps) == 0 {
+		return nil, nil
+	}
+	return checkpoint.Read(bytes.NewReader(r.snaps[len(r.snaps)-1]))
+}
+
+// recorded returns cfg wired to a fresh record: an Observer logging
+// (gen, Events) and a checkpoint sink every 7 generations. The series stay
+// out of the snapshots (CheckpointSeries off): the sampled mean fitness
+// differs in the last bit between a serial sum and a tree reduction.
+func recorded(cfg Config) (Config, *engineRecord) {
+	rec := &engineRecord{}
+	cfg.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
+		rec.events = append(rec.events, observedGen{gen, ev})
+	})
+	cfg.CheckpointEvery = 7
+	cfg.CheckpointSink = rec
+	cfg.CheckpointSeries = false
+	return cfg, rec
+}
+
+func assertSameRecord(t *testing.T, want, got *engineRecord) {
+	t.Helper()
+	if len(want.events) != len(got.events) {
+		t.Fatalf("observer calls: %d vs %d", len(want.events), len(got.events))
+	}
+	for k := range want.events {
+		if want.events[k] != got.events[k] {
+			t.Fatalf("observer call %d: %+v vs %+v", k, want.events[k], got.events[k])
+		}
+	}
+	if len(want.snaps) != len(got.snaps) {
+		t.Fatalf("snapshots written: %d vs %d", len(want.snaps), len(got.snaps))
+	}
+	for k := range want.snaps {
+		if !bytes.Equal(want.snaps[k], got.snaps[k]) {
+			t.Fatalf("snapshot %d differs between engines", k)
+		}
+	}
+}
+
+// The two engines agree on more than the final Result: every generation's
+// events, as the Observer sees them, and every checkpoint snapshot byte for
+// byte, across strategy kinds, noise, evaluation modes and rank counts —
+// and through a live eviction of a killed worker.
+func TestCrossEngineEventsAndSnapshots(t *testing.T) {
+	type variant struct {
+		name  string
+		mixed bool
+		full  bool
+	}
+	for _, v := range []variant{
+		{"pure/full", false, true},
+		{"pure/incremental", false, false},
+		{"mixed-noisy/full", true, true},
+		{"mixed-noisy/incremental", true, false},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := testConfig(1, 7, 45)
+			cfg.Seed = 131
+			cfg.PCRate = 0.5
+			cfg.Mu = 0.2
+			cfg.FullRecompute = v.full
+			if v.mixed {
+				cfg.Kind = MixedStrategies
+				cfg.Rules.ErrorRate = 0.05
+			}
+			seqCfg, want := recorded(cfg)
+			if _, err := RunSequential(seqCfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(want.events) != cfg.Generations || len(want.snaps) != cfg.Generations/7 {
+				t.Fatalf("sequential run recorded %d events, %d snapshots", len(want.events), len(want.snaps))
+			}
+			for _, ranks := range []int{2, 3, 7} {
+				parCfg, got := recorded(cfg)
+				if _, err := RunParallel(parCfg, ranks); err != nil {
+					t.Fatalf("ranks %d: %v", ranks, err)
+				}
+				assertSameRecord(t, want, got)
+			}
+		})
+	}
+	t.Run("evict", func(t *testing.T) {
+		cfg := testConfig(1, 8, 120)
+		cfg.Seed = 132
+		cfg.PCRate = 0.5
+		cfg.FullRecompute = true
+		seqCfg, want := recorded(cfg)
+		if _, err := RunSequential(seqCfg); err != nil {
+			t.Fatal(err)
+		}
+		parCfg, got := recorded(evictConfig(cfg))
+		parCfg.FaultPlan = mpi.NewFaultPlan().Kill(2, 60)
+		res, err := RunParallel(parCfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !parCfg.FaultPlan.Faults()[0].Fired() || res.Evictions != 1 {
+			t.Fatalf("scripted kill fired=%v, evictions=%d", parCfg.FaultPlan.Faults()[0].Fired(), res.Evictions)
+		}
+		assertSameRecord(t, want, got)
+	})
 }
