@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race strict fuzz bench docs chaos serve-smoke check clean
+.PHONY: all build test vet lint lint-json race strict fuzz bench bench-smoke docs chaos serve-smoke check clean
 
 all: build test
 
@@ -73,6 +73,14 @@ serve-smoke:
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime 1x . > BENCH_10.json
 	$(GO) test -json -run '^$$' -bench 'Ablation_PayoffCache' -benchtime 10x . >> BENCH_10.json
+
+# The benchmark module: perfbench/ is a Go module of its own (it requires
+# repro through `replace ../`), so the root `go test ./...` never compiles
+# it. Vet it and run its smoke tests — metric names against BENCHMARK.json
+# and a tiny run of each workload — so a sim API change cannot break the
+# benchmark unseen.
+bench-smoke:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Documentation gate: package docs present on every exported symbol
 # (the pkgdoc egdlint analyzer alone) and no broken relative links or

@@ -116,22 +116,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if snap.Memory != *memory {
-			return fmt.Errorf("checkpoint is memory-%d, flags say memory-%d", snap.Memory, *memory)
-		}
-		if len(snap.Strategies) != *ssets {
-			return fmt.Errorf("checkpoint has %d SSets, flags say %d", len(snap.Strategies), *ssets)
-		}
-		cfg.InitialStrategies = snap.Strategies
-		cfg.StartGeneration = int(snap.Generation)
+		// The checkpoint supplies the seed; -gens counts generations past it.
 		cfg.Seed = snap.Seed
-		if snap.Counters != nil {
-			cfg.BaseCounters = sim.Counters{
-				GamesPlayed: snap.Counters.GamesPlayed,
-				PCEvents:    snap.Counters.PCEvents,
-				Adoptions:   snap.Counters.Adoptions,
-				Mutations:   snap.Counters.Mutations,
-			}
+		cfg.StartGeneration = int(snap.Generation)
+		if cfg, err = cfg.Resume(snap); err != nil {
+			return fmt.Errorf("-resume %s: %w", *resume, err)
 		}
 		fmt.Fprintf(out, "resuming from %s at generation %d (seed %d)\n", *resume, snap.Generation, snap.Seed)
 	}

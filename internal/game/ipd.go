@@ -200,28 +200,3 @@ func shiftView(view []strategy.Move, my, opp strategy.Move) {
 	view[len(view)-2] = my
 	view[len(view)-1] = opp
 }
-
-// MovesTrace replays a match and records the joint move sequence; used by
-// tests and by the visualiser. It uses the optimised engine.
-func MovesTrace(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) (moves0, moves1 []strategy.Move) {
-	sp := s0.Space()
-	st0, st1 := sp.InitialState(), sp.InitialState()
-	moves0 = make([]strategy.Move, rules.Rounds)
-	moves1 = make([]strategy.Move, rules.Rounds)
-	for r := 0; r < rules.Rounds; r++ {
-		m0 := s0.Move(st0, src)
-		m1 := s1.Move(st1, src)
-		if rules.ErrorRate > 0 {
-			if src.Bernoulli(rules.ErrorRate) {
-				m0 ^= 1
-			}
-			if src.Bernoulli(rules.ErrorRate) {
-				m1 ^= 1
-			}
-		}
-		moves0[r], moves1[r] = m0, m1
-		st0 = sp.NextState(st0, m0, m1)
-		st1 = sp.NextState(st1, m1, m0)
-	}
-	return moves0, moves1
-}

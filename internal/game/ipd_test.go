@@ -214,31 +214,6 @@ func TestSearchEngineSpaceMismatchPanics(t *testing.T) {
 	NewSearchEngine(sp(1)).Play(DefaultRules(), strategy.AllC(sp(2)), strategy.AllC(sp(2)), rng.New(1))
 }
 
-func TestMovesTraceConsistentWithPlay(t *testing.T) {
-	rules := DefaultRules()
-	rules.Rounds = 64
-	s0 := strategy.WSLS(sp(1))
-	s1 := strategy.AllD(sp(1))
-	m0, m1 := MovesTrace(rules, s0, s1, rng.New(1))
-	res := Play(rules, s0, s1, rng.New(1))
-	c0, c1 := 0, 0
-	var f0, f1 float64
-	for r := range m0 {
-		if m0[r] == strategy.Cooperate {
-			c0++
-		}
-		if m1[r] == strategy.Cooperate {
-			c1++
-		}
-		a, b := rules.Payoff.Score(m0[r], m1[r])
-		f0 += a
-		f1 += b
-	}
-	if c0 != res.Coop0 || c1 != res.Coop1 || f0 != res.Fitness0 || f1 != res.Fitness1 {
-		t.Fatal("MovesTrace disagrees with Play")
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	r := Result{Fitness0: 300, Fitness1: 100, Coop0: 50, Coop1: 150, Rounds: 100}
 	if r.Mean0() != 3 || r.Mean1() != 1 {

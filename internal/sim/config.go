@@ -10,7 +10,14 @@
 //   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
 //     rank 0 is the Nature Agent, the remaining ranks own block-distributed
 //     SSets, fitness travels point-to-point, selections and strategy
-//     updates travel by broadcast.
+//     updates travel by broadcast. RunWorker hosts one rank of the same
+//     world over a networked transport.
+//
+// Both engines drive one Nature Agent, the nature type in nature.go: the
+// per-generation decision, adoption and mutation, the Result and its
+// series, the Observer call, the checkpoint cadence and the eviction
+// rollback. It has no transport dependency; the engines differ only in
+// where the fitness it consumes comes from.
 //
 // Fitness evaluation supports the paper's every-generation full recompute
 // (FullRecompute, used in its timing studies) and an incremental mode that
@@ -115,7 +122,8 @@ type Config struct {
 	// (0 selects an automatic stride bounding series length to ~1000).
 	SampleStride int
 	// Observer, when non-nil, is invoked after every generation with the
-	// current population snapshot. It runs on the Nature Agent.
+	// Nature Agent's population, which carries strategies only (no payoffs
+	// or fitness). It runs on the Nature Agent.
 	Observer Observer
 	// Control, when non-nil, is polled at the top of every generation (on
 	// the Nature rank in the parallel engine, where it also tells the
@@ -124,8 +132,8 @@ type Config struct {
 	// (when one is configured) and returns an error wrapping both
 	// ErrStopped and the hook's error. Pause/cancel in a hosting service
 	// builds on this: resume the stopped run from the persisted snapshot
-	// via InitialStrategies / StartGeneration / BaseCounters and the
-	// trajectory continues bit-identically (for deterministic games).
+	// with Config.Resume and the trajectory continues bit-identically (for
+	// deterministic games).
 	Control func(gen int) error
 	// InitialStrategies, when non-nil, seeds the population (e.g. resuming
 	// from a checkpoint) instead of random initialisation. Length must
@@ -203,6 +211,9 @@ type Config struct {
 type Observer interface {
 	// Generation is called after generation gen's evolution step with the
 	// population (valid only during the call) and the generation's events.
+	// The population carries strategies only: fitness lives with the ranks
+	// that play the games, so an observer derives what it needs from the
+	// strategies (cooperation, abundance) and the events.
 	Generation(gen int, pop *Population, ev Events)
 }
 

@@ -3,8 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/stats"
 )
 
 // ErrStopped marks a run halted by Config.Control: both engines return an
@@ -13,17 +11,16 @@ import (
 // restart supervisor returns it unchanged instead of restarting — and when
 // a CheckpointSink is configured the engine persists a resume snapshot
 // first, so the caller can continue the trajectory bit-identically via
-// InitialStrategies / StartGeneration / BaseCounters (the contract
-// pause/resume in a job service builds on).
+// Config.Resume (the contract pause/resume in a job service builds on).
 var ErrStopped = errors.New("sim: run stopped by control hook")
 
-// stopRun finalises a control-initiated stop on the Nature side: it
-// persists a resume snapshot of the population at the top of generation
-// gen (when a sink is configured, carrying the series sampled so far
-// under cfg.CheckpointSeries) and returns the run's stop error.
-func stopRun(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop *stats.Series, cause error) error {
-	if cfg.CheckpointSink != nil {
-		if err := saveSnapshot(cfg, pop, gen, ctr, fit, coop); err != nil {
+// stop finalises a control-initiated stop at the top of generation gen: it
+// persists a resume snapshot (when a sink is configured, carrying the
+// series sampled so far under cfg.CheckpointSeries) and returns the run's
+// stop error. The engines return it alongside the partial Result.
+func (n *nature) stop(gen int, cause error) error {
+	if n.cfg.CheckpointSink != nil {
+		if err := n.save(gen); err != nil {
 			return fmt.Errorf("sim: stop snapshot at generation %d: %w (stop cause: %w)", gen, err, cause)
 		}
 	}

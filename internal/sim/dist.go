@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/mpi"
 	"repro/internal/strategy"
 )
@@ -38,63 +35,18 @@ func init() {
 // On the Nature process the returned Result is the run's result, assembled
 // as in RunParallel except that communication and transport metrics are
 // this process's view of the wire (per-process accounting; see
-// docs/TRANSPORT.md). Worker processes return (nil, nil) on success.
+// docs/TRANSPORT.md); on a control stop it is the partial Result, returned
+// with the ErrStopped error as RunParallel does. Worker processes return
+// (nil, nil) on success.
 func RunWorker(cfg Config, t *mpi.NetTransport) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRanks(&cfg, t.Size()); err != nil {
 		return nil, err
 	}
-	ranks := t.Size()
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	nWorkers := ranks - 1
-	totalGames := cfg.NumSSets * (cfg.NumSSets - 1)
-	if nWorkers > totalGames {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation", nWorkers, totalGames)
-	}
-
 	world := mpi.NewNetWorld(t)
-	if cfg.Metrics {
-		world.EnableMetrics()
-	}
-	if cfg.FaultPlan != nil {
-		world.InstallFaultPlan(cfg.FaultPlan)
-	}
-	if cfg.RecvTimeout > 0 {
-		world.SetRecvTimeout(cfg.RecvTimeout)
-	}
-	if cfg.Evict {
-		world.EnableEviction(cfg.HeartbeatEvery, cfg.HeartbeatMisses)
-	}
-	if err := t.Start(); err != nil {
-		return nil, err
-	}
-	var result *Result
-	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	err := world.RunLocal(func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			res, err := natureRank(cfg, c)
-			if err != nil {
-				return err
-			}
-			result = res
-			return nil
+	return runWorld(cfg, world, func(body func(c *mpi.Comm) error) error {
+		if err := t.Start(); err != nil {
+			return err
 		}
-		return workerRank(cfg, c)
+		return world.RunLocal(body)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if result == nil {
-		// A worker rank: the Result lives on the Nature process.
-		return nil, nil
-	}
-	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
-	result.Evictions = len(world.Evictions())
-	result.Ranks = ranks - result.Evictions
-	if cfg.Metrics && result.Metrics != nil {
-		result.Metrics.Comm = world.CommMetricsSnapshot()
-		result.Metrics.Transport = world.TransportStats()
-	}
-	return result, nil
 }

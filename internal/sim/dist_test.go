@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/stats"
 )
 
 // runNetworked hosts a full networked run inside one test process: each of
@@ -220,6 +221,59 @@ func TestNetworkedEvictionRecoversBitExact(t *testing.T) {
 	if res.Counters.GamesPlayed < clean.Counters.GamesPlayed {
 		t.Fatalf("evicted run played fewer games (%d) than clean (%d)",
 			res.Counters.GamesPlayed, clean.Counters.GamesPlayed)
+	}
+}
+
+// A control stop on a networked run returns the partial Result with the
+// ErrStopped error, exactly as RunParallel does: the series sampled before
+// the cut match the in-process run's, and the worker processes exit
+// cleanly.
+func TestNetworkedControlStopKeepsPartialResult(t *testing.T) {
+	const stopAt = 25
+	cfg := testConfig(1, 8, 60)
+	cfg.Seed = 106
+
+	inCfg := cfg
+	inStops := 0
+	inCfg.Control = stopAfter(stopAt, &inStops)
+	inproc, err := RunParallel(inCfg, 3)
+	if !errors.Is(err, ErrStopped) || inproc == nil {
+		t.Fatalf("in-process stop: result %v, error %v", inproc, err)
+	}
+
+	netCfg := cfg
+	netStops := 0
+	netCfg.Control = stopAfter(stopAt, &netStops)
+	net, errs := runNetworked(t, netCfg, 3)
+	if !errors.Is(errs[0], ErrStopped) {
+		t.Fatalf("Nature rank error = %v, want ErrStopped", errs[0])
+	}
+	for r := 1; r < len(errs); r++ {
+		if errs[r] != nil {
+			t.Fatalf("worker rank %d: %v", r, errs[r])
+		}
+	}
+	if net == nil {
+		t.Fatal("stopped networked run returned no partial Result")
+	}
+	if net.Counters != inproc.Counters {
+		t.Fatalf("partial counters differ: %+v vs %+v", net.Counters, inproc.Counters)
+	}
+	for _, pair := range [][2]*stats.Series{
+		{inproc.MeanFitness, net.MeanFitness},
+		{inproc.Cooperation, net.Cooperation},
+	} {
+		want, got := pair[0], pair[1]
+		if want.Len() != stopAt || got.Len() != want.Len() {
+			t.Fatalf("partial series lengths: %d (in-process) vs %d (wire), want %d", want.Len(), got.Len(), stopAt)
+		}
+		for i := 0; i < want.Len(); i++ {
+			ga, va := want.At(i)
+			gb, vb := got.At(i)
+			if ga != gb || va != vb {
+				t.Fatalf("sample %d: (%d,%v) vs (%d,%v)", i, ga, va, gb, vb)
+			}
+		}
 	}
 }
 

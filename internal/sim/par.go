@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -99,14 +98,19 @@ type update struct {
 func (u update) WireBytes() uint64 {
 	n := uint64(6 * 8)
 	if u.MutantStrategy != nil {
-		states := uint64(u.MutantStrategy.Space().NumStates())
-		if _, ok := u.MutantStrategy.(*strategy.Mixed); ok {
-			n += states * 8
-		} else {
-			n += states / 8
-		}
+		n += strategyWireBytes(u.MutantStrategy)
 	}
 	return n
+}
+
+// strategyWireBytes models one strategy table on the wire: a bit per state
+// for a pure strategy, a float64 per state for a mixed one.
+func strategyWireBytes(s strategy.Strategy) uint64 {
+	states := uint64(s.Space().NumStates())
+	if _, ok := s.(*strategy.Mixed); ok {
+		return states * 8
+	}
+	return states / 8
 }
 
 // selection is the Nature Agent's mid-generation broadcast: which SSets are
@@ -148,12 +152,7 @@ type resume struct {
 func (r resume) WireBytes() uint64 {
 	n := uint64(2 * 8)
 	for _, s := range r.Strategies {
-		states := uint64(s.Space().NumStates())
-		if _, ok := s.(*strategy.Mixed); ok {
-			n += states * 8
-		} else {
-			n += states / 8
-		}
+		n += strategyWireBytes(s)
 	}
 	return n
 }
@@ -183,19 +182,37 @@ func minRanksFloor(cfg *Config) int { return max(cfg.MinRanks, 2) }
 // ranks must be at least 2; workers may not outnumber the games of one
 // generation, S×(S-1).
 func RunParallel(cfg Config, ranks int) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRanks(&cfg, ranks); err != nil {
 		return nil, err
 	}
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	nWorkers := ranks - 1
-	totalGames := cfg.NumSSets * (cfg.NumSSets - 1)
-	if nWorkers > totalGames {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation", nWorkers, totalGames)
-	}
-
 	world := mpi.NewWorld(ranks)
+	return runWorld(cfg, world, world.Run)
+}
+
+// checkRanks validates cfg (normalising its defaults) for a parallel world
+// of ranks: Nature plus at least one worker, and no more workers than the
+// games of one generation.
+func checkRanks(cfg *Config, ranks int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if ranks < 2 {
+		return fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
+	}
+	if games := cfg.NumSSets * (cfg.NumSSets - 1); ranks-1 > games {
+		return fmt.Errorf("sim: %d workers exceed %d games per generation", ranks-1, games)
+	}
+	return nil
+}
+
+// runWorld is the world runner RunParallel and RunWorker share. It installs
+// the Config's world options (metrics, fault plan, receive deadline,
+// eviction), runs the rank bodies through run — world.Run for an
+// in-process world, world.RunLocal for the one hosted rank of a networked
+// world — and completes the Nature rank's Result. A process hosting only a
+// worker returns (nil, nil); a control stop returns the partial Result
+// with the error.
+func runWorld(cfg Config, world *mpi.World, run func(body func(c *mpi.Comm) error) error) (*Result, error) {
 	if cfg.Metrics {
 		world.EnableMetrics()
 	}
@@ -210,7 +227,7 @@ func RunParallel(cfg Config, ranks int) (*Result, error) {
 	}
 	var result *Result
 	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	err := world.Run(func(c *mpi.Comm) error {
+	err := run(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			res, err := natureRank(cfg, c)
 			// On a control-hook stop res is the partial result (series up to
@@ -220,14 +237,17 @@ func RunParallel(cfg Config, ranks int) (*Result, error) {
 		}
 		return workerRank(cfg, c)
 	})
-	if err != nil {
+	if err != nil || result == nil {
 		return result, err
 	}
 	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	result.Evictions = len(world.Evictions())
-	result.Ranks = ranks - result.Evictions
+	result.Ranks = world.Size() - result.Evictions
 	if cfg.Metrics && result.Metrics != nil {
+		// A networked world's accounting is this process's view of the wire
+		// (see docs/TRANSPORT.md); an in-process world has no transport.
 		result.Metrics.Comm = world.CommMetricsSnapshot()
+		result.Metrics.Transport = world.TransportStats()
 		if cfg.EventLog != nil {
 			stats := world.Stats()
 			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: cfg.StartGeneration + cfg.Generations, Rank: -1,
@@ -238,21 +258,9 @@ func RunParallel(cfg Config, ranks int) (*Result, error) {
 	return result, nil
 }
 
-// natureSnap is the Nature Agent's rollback point for live eviction:
-// everything needed to replay the generation a failure interrupted.
-// Strategy references can be shared because strategies are immutable —
-// Adopt and SetStrategy replace entries, never mutate them in place.
-type natureSnap struct {
-	gen             int
-	strategies      []strategy.Strategy
-	dirty           []bool
-	counters        Counters
-	fitLen, coopLen int
-}
-
-// natureRank is rank 0: the paper's Nature Agent. It keeps the global
-// strategy view, drives the evolutionary schedule, gathers selected
-// fitness values point-to-point, and broadcasts selections and updates.
+// natureRank is rank 0: the paper's Nature Agent. It drives the shared
+// nature state through the evolutionary schedule, gathers selected fitness
+// values point-to-point, and broadcasts selections and updates.
 //
 // With cfg.Evict, a detected rank failure is recovered live at the current
 // generation boundary: Nature agrees with the survivors on the new rank
@@ -262,14 +270,8 @@ type natureSnap struct {
 // generation-keyed random streams — bit-identical to a fault-free run for
 // deterministic games.
 func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
-	master := rng.New(cfg.Seed)
-	pop := NewPopulation(cfg, master) // global strategy view (payoffs unused here)
+	n := newNature(&cfg)
 	s := cfg.NumSSets
-	end := cfg.StartGeneration + cfg.Generations
-	res := &Result{Counters: cfg.BaseCounters}
-	res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
-	res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
-
 	gen := cfg.StartGeneration
 	// pendingFull marks that the workers' next refresh replays every owned
 	// pair (their payoff blocks were re-sharded by an eviction); crossCheck
@@ -277,161 +279,88 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 	// mirroring the workers' local tallies, which reset on resume.
 	pendingFull := false
 	var crossCheck uint64
-	var snap natureSnap
 	seenEvictions := 0
-	var pt *phaseTimer
-	if cfg.Metrics {
-		pt = newPhaseTimer()
-	}
+	row := make([]float64, 0, s-1)
 
-	logEvent := func(e trace.Event) {
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(e)
-		}
-	}
-	takeSnap := func() {
-		snap.gen = gen
-		snap.strategies = append(snap.strategies[:0], pop.strategies...)
-		snap.dirty = append(snap.dirty[:0], pop.dirty...)
-		snap.counters = res.Counters
-		snap.fitLen = res.MeanFitness.Len()
-		snap.coopLen = res.Cooperation.Len()
-	}
-	restore := func() {
-		gen = snap.gen
-		copy(pop.strategies, snap.strategies)
-		copy(pop.dirty, snap.dirty)
-		res.Counters = snap.counters
-		res.MeanFitness.Truncate(snap.fitLen)
-		res.Cooperation.Truncate(snap.coopLen)
-	}
-
-	// recvFitness reassembles SSet i's fitness from its row segments,
-	// folding payoffs in ascending column order so the floating-point sum
-	// matches the sequential engine bit for bit — at any worker count,
-	// which is what makes post-eviction re-sharding trajectory-invariant.
+	// recvFitness reassembles SSet i's payoff row from its segments in
+	// ascending column order, so its fitness matches the sequential engine
+	// bit for bit — at any worker count, which is what makes post-eviction
+	// re-sharding trajectory-invariant.
 	recvFitness := func(c *mpi.Comm, i int) (float64, error) {
-		total := 0.0
+		row = row[:0]
 		for _, seg := range rowSegments(s, c.Size()-1, i) {
 			msg, err := c.Recv(1+seg.worker, tagFitness)
 			if err != nil {
 				return 0, err
 			}
-			for _, v := range msg.Payload.([]float64) {
-				total += v
-			}
+			row = append(row, msg.Payload.([]float64)...)
 		}
-		return total / float64(s-1), nil
+		return rowFitness(row), nil
 	}
 
 	oneGeneration := func(c *mpi.Comm) error {
 		// Count the games the workers are scheduling this generation before
-		// the dirty marks are cleared: the workers' refresh predicate plays
-		// pair (i, j) iff FullRecompute or either side is dirty, so the
-		// scheduled total is all pairs minus the clean×clean ones. Keeping
-		// this tally on Nature lets snapshots carry an up-to-date
-		// GamesPlayed without an every-generation reduction. A post-eviction
-		// replay recomputes every pair.
-		var scheduled uint64
-		if pendingFull || cfg.FullRecompute {
-			scheduled = uint64(s) * uint64(s-1)
-		} else {
-			dcount := 0
-			for _, isDirty := range pop.dirty {
-				if isDirty {
-					dcount++
-				}
-			}
-			clean := s - dcount
-			scheduled = uint64(s*(s-1) - clean*(clean-1))
-		}
+		// the dirty marks are cleared. Keeping this tally on Nature lets
+		// snapshots carry an up-to-date GamesPlayed without an
+		// every-generation reduction. A post-eviction replay recomputes
+		// every pair.
+		scheduled := n.pop.scheduledGames(pendingFull || cfg.FullRecompute)
 		pendingFull = false
-		res.Counters.GamesPlayed += scheduled
+		n.res.Counters.GamesPlayed += scheduled
 		crossCheck += scheduled
-		pop.clearDirty()
-		d := natureDecision(&cfg, master, gen)
-		ev := Events{
-			PCOccurred:       d.pc,
-			Teacher:          d.teacher,
-			Learner:          d.learner,
-			MutationOccurred: d.mutate,
-			Mutant:           d.mutant,
-		}
+		n.pop.clearDirty()
+		d := natureDecision(&cfg, n.master, gen)
 
 		// Announce the PC selection to all ranks (collective network).
-		sel := selection{PC: d.pc, Teacher: d.teacher, Learner: d.learner}
-		tb := pt.begin()
-		if _, err := c.Bcast(0, sel); err != nil {
+		tb := n.pt.begin()
+		if _, err := c.Bcast(0, selection{PC: d.pc, Teacher: d.teacher, Learner: d.learner}); err != nil {
 			return err
 		}
-		pt.end(PhaseBroadcast, tb)
+		n.pt.end(PhaseBroadcast, tb)
 
-		var u update
+		var piT, piL float64
 		if d.pc {
-			res.Counters.PCEvents++
 			// The owners return the selected SSets' payoff segments
 			// point-to-point (torus network in the paper); teacher first,
 			// then learner, in segment order.
-			tf := pt.begin()
-			piT, err := recvFitness(c, d.teacher)
-			if err != nil {
+			tf := n.pt.begin()
+			var err error
+			if piT, err = recvFitness(c, d.teacher); err != nil {
 				return err
 			}
-			piL, err := recvFitness(c, d.learner)
-			if err != nil {
+			if piL, err = recvFitness(c, d.learner); err != nil {
 				return err
 			}
-			pt.end(PhaseFitnessComm, tf)
-			if resolveAdoption(&cfg, master, gen, piT, piL) {
-				pop.Adopt(d.learner, d.teacher)
-				u.Adopted = true
-				u.Learner, u.Teacher = d.learner, d.teacher
-				ev.Adopted = true
-				res.Counters.Adoptions++
-			}
+			n.pt.end(PhaseFitnessComm, tf)
 		}
-		if d.mutate {
-			res.Counters.Mutations++
-			mut := mutantStrategy(&cfg, master, pop.Space(), gen)
-			pop.SetStrategy(d.mutant, mut)
-			u.Mutated = true
-			u.Mutant = d.mutant
-			u.MutantStrategy = mut
-		}
-		u.MeanFitnessWanted = gen%cfg.SampleStride == 0
+		ev := n.step(gen, d, piT, piL)
 
 		// Broadcast the global strategy update (collective network).
-		tb = pt.begin()
+		u := update{Adopted: ev.Adopted, Mutated: ev.MutationOccurred, MeanFitnessWanted: n.sampled(gen)}
+		if ev.Adopted {
+			u.Learner, u.Teacher = d.learner, d.teacher
+		}
+		if ev.MutationOccurred {
+			u.Mutant, u.MutantStrategy = d.mutant, n.pop.Strategy(d.mutant)
+		}
+		tb = n.pt.begin()
 		if _, err := c.Bcast(0, u); err != nil {
 			return err
 		}
-		pt.end(PhaseBroadcast, tb)
+		n.pt.end(PhaseBroadcast, tb)
 
+		mean := 0.0
 		if u.MeanFitnessWanted {
 			// Join the workers' payoff reduction; Nature contributes 0.
-			tr := pt.begin()
+			tr := n.pt.begin()
 			total, err := c.Reduce(0, 0, mpi.OpSum)
 			if err != nil {
 				return err
 			}
-			pt.end(PhaseReduce, tr)
-			res.MeanFitness.Observe(gen, total/float64(s*(s-1)))
-			res.Cooperation.Observe(gen, pop.MeanCooperationProb())
+			n.pt.end(PhaseReduce, tr)
+			mean = total / float64(s*(s-1))
 		}
-		if cfg.Observer != nil {
-			cfg.Observer.Generation(gen, pop, ev)
-		}
-		// Checkpoint on absolute generation numbers, so a resumed run keeps
-		// the original cadence instead of one phase-shifted by the restart.
-		if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
-			tc := pt.begin()
-			if err := saveSnapshot(&cfg, pop, gen+1, res.Counters, res.MeanFitness, res.Cooperation); err != nil {
-				return err
-			}
-			pt.end(PhaseCheckpoint, tc)
-			logEvent(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
-		}
-		return nil
+		return n.finishGeneration(gen, ev, mean)
 	}
 
 	finalize := func(c *mpi.Comm) error {
@@ -439,14 +368,14 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		// games wholesale; account for them in the cross-check (the restored
 		// GamesPlayed already covers the run's schedule).
 		if pendingFull {
-			crossCheck += uint64(s) * uint64(s-1)
+			crossCheck += n.pop.scheduledGames(true)
 			pendingFull = false
 		}
 		// Collect the final payoff blocks and compute all fitness values in
 		// the sequential engine's order.
 		nWorkers := c.Size() - 1
 		flat := make([]float64, s*(s-1))
-		tf := pt.begin()
+		tf := n.pt.begin()
 		for w := 0; w < nWorkers; w++ {
 			msg, err := c.Recv(1+w, tagRows)
 			if err != nil {
@@ -455,24 +384,16 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 			lo, _ := blockRange(s*(s-1), nWorkers, w)
 			copy(flat[lo:], msg.Payload.([]float64))
 		}
-		pt.end(PhaseFitnessComm, tf)
-		fitness := make([]float64, s)
-		for i := 0; i < s; i++ {
-			total := 0.0
-			for k := i * (s - 1); k < (i+1)*(s-1); k++ {
-				total += flat[k]
-			}
-			fitness[i] = total / float64(s-1)
-		}
+		n.pt.end(PhaseFitnessComm, tf)
 		// The workers' reduced game count cross-checks Nature's scheduled
 		// tally: both sides evaluate the same refresh predicate over the
 		// same window, so any divergence means the global views drifted.
-		tr := pt.begin()
+		tr := n.pt.begin()
 		games, err := c.Reduce(0, 0, mpi.OpSum)
 		if err != nil {
 			return err
 		}
-		pt.end(PhaseReduce, tr)
+		n.pt.end(PhaseReduce, tr)
 		if uint64(games) != crossCheck {
 			return fmt.Errorf("sim: workers played %d games since the last synchronisation, Nature scheduled %d — global views diverged",
 				uint64(games), crossCheck)
@@ -482,7 +403,7 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		// unchanged when observability is off; symmetric with the workers'
 		// finalize.
 		if cfg.Metrics {
-			snapsAny, err := c.Gather(0, pt.snapshot(c.OrigRank()))
+			snapsAny, err := c.Gather(0, n.pt.snapshot(c.OrigRank()))
 			if err != nil {
 				return err
 			}
@@ -491,7 +412,7 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 				rm.Phases = append(rm.Phases, a.(RankPhaseSnapshot))
 			}
 			sort.Slice(rm.Phases, func(i, j int) bool { return rm.Phases[i].Rank < rm.Phases[j].Rank })
-			res.Metrics = rm
+			n.res.Metrics = rm
 		}
 		// In eviction mode a final barrier keeps workers resident until
 		// Nature has everything, so a late failure still finds every
@@ -502,14 +423,14 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 				return err
 			}
 		}
-		res.FinalFitness = fitness
+		n.res.FinalFitness = fitnesses(flat, s)
 		return nil
 	}
 
 	// recoverLive runs the survivor-side eviction protocol: agree on the
-	// surviving set, shrink onto it, roll back to the snapshot, and
-	// rebroadcast the authoritative state. Each loop iteration is one
-	// agreement epoch; a failure landing mid-recovery starts another.
+	// surviving set, shrink onto it, roll back to the mark, and rebroadcast
+	// the authoritative state. Each loop iteration is one agreement epoch; a
+	// failure landing mid-recovery starts another.
 	recoverLive := func(c *mpi.Comm, cause error) (*mpi.Comm, error) {
 		if !cfg.Evict {
 			return nil, cause
@@ -525,12 +446,12 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 			}
 			evs := c.Evictions()
 			for _, e := range evs[seenEvictions:] {
-				logEvent(trace.Event{Kind: trace.EventEviction, Generation: snap.gen, Rank: e.Rank,
+				n.log(trace.Event{Kind: trace.EventEviction, Generation: n.mark.gen, Rank: e.Rank,
 					Detail: e.Err.Error()})
 			}
 			seenEvictions = len(evs)
 			if len(surv) < minRanksFloor(&cfg) {
-				logEvent(trace.Event{Kind: trace.EventEvictionFailed, Generation: snap.gen, Rank: -1,
+				n.log(trace.Event{Kind: trace.EventEvictionFailed, Generation: n.mark.gen, Rank: -1,
 					Detail: fmt.Sprintf("%d survivors below floor %d; falling back to checkpoint restart",
 						len(surv), minRanksFloor(&cfg))})
 				return nil, cause
@@ -540,13 +461,13 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 				cur = err
 				continue
 			}
-			restore()
+			gen = n.rollback()
 			pendingFull = true
 			crossCheck = 0
 			rs := resume{
-				Gen:        snap.gen,
-				Replay:     min(snap.gen, end-1),
-				Strategies: append([]strategy.Strategy(nil), snap.strategies...),
+				Gen:        gen,
+				Replay:     min(gen, n.end-1),
+				Strategies: append([]strategy.Strategy(nil), n.pop.strategies...),
 			}
 			if _, err := nc.Bcast(0, rs); err != nil {
 				c, cur = nc, err
@@ -556,22 +477,19 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		}
 	}
 
-	for gen < end {
+	for gen < n.end {
 		// Control poll at the generation boundary: a stop is announced via a
 		// Stop selection broadcast (the workers' next rendezvous — they are
 		// already playing this generation's games) before Nature persists the
-		// resume snapshot and exits. The partial Result rides along with
-		// ErrStopped so the caller keeps the series sampled before the cut.
-		if cfg.Control != nil {
-			if cause := cfg.Control(gen); cause != nil {
-				if _, err := c.Bcast(0, selection{Stop: true}); err != nil {
-					return nil, err
-				}
-				return res, stopRun(&cfg, pop, gen, res.Counters, res.MeanFitness, res.Cooperation, cause)
+		// resume snapshot and exits.
+		if cause := n.control(gen); cause != nil {
+			if _, err := c.Bcast(0, selection{Stop: true}); err != nil {
+				return nil, err
 			}
+			return n.res, n.stop(gen, cause)
 		}
 		if cfg.Evict {
-			takeSnap()
+			n.setMark(gen)
 		}
 		err := oneGeneration(c)
 		if err == nil {
@@ -585,7 +503,7 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		c = nc
 	}
 	if cfg.Evict {
-		takeSnap() // snap.gen == end: the finalization resume point
+		n.setMark(n.end) // the finalization resume point
 	}
 	for {
 		err := finalize(c)
@@ -598,8 +516,8 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		}
 		c = nc
 	}
-	res.Final = pop.Snapshot()
-	return res, nil
+	n.res.Final = n.pop.Snapshot()
+	return n.res, nil
 }
 
 // workerRank is ranks 1..P-1: it owns a contiguous block of game pairs,
@@ -620,8 +538,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 	end := cfg.StartGeneration + cfg.Generations
 	kern := newPayoffKernel(&cfg)
 
-	w := c.Rank() - 1
-	lo, hi := blockRange(s*(s-1), c.Size()-1, w)
+	lo, hi := blockRange(s*(s-1), c.Size()-1, c.Rank()-1)
 	// payoffs[k-lo] is pair k's mean per-round payoff for its row SSet.
 	payoffs := make([]float64, hi-lo)
 	games := uint64(0)
@@ -635,41 +552,21 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 		pt = newPhaseTimer()
 	}
 
-	// refresh replays the owned pairs whose participants changed. A
-	// pairPayoff failure (exact-mode analysis error) aborts the pass: it is
-	// a configuration fault, not a rank failure, so it propagates out of the
-	// run instead of triggering eviction. games counts every owned pair the
-	// schedule touched, cache hits included — Nature's cross-check tallies
-	// scheduled games, and a memo hit still delivers a scheduled payoff.
-	refresh := func(g int) error {
-		kern.prepare(&cfg, pop)
-		for k := lo; k < hi; k++ {
-			i, j := pairToIJ(s, k)
-			if cfg.FullRecompute || pop.dirty[i] || pop.dirty[j] {
-				v, err := kern.pairPayoff(&cfg, master, g, i, j, pop.strategies[i], pop.strategies[j])
-				if err != nil {
-					return err
-				}
-				payoffs[k-lo] = v
-				games++
-			}
+	// refresh replays the owned pairs whose participants changed — or, after
+	// a re-shard, every owned pair. A pairPayoff failure (exact-mode
+	// analysis error) aborts the pass: it is a configuration fault, not a
+	// rank failure, so it propagates out of the run instead of triggering
+	// eviction. games counts every owned pair the schedule touched, cache
+	// hits included — Nature's cross-check tallies scheduled games, and a
+	// memo hit still delivers a scheduled payoff.
+	refresh := func() error {
+		g, full := gen, cfg.FullRecompute
+		if pendingFull {
+			g, full, pendingFull = replayGen, true, false
 		}
-		return nil
-	}
-	// replayAll recomputes the whole owned block from generation g's
-	// streams, regardless of dirtiness — the post-eviction rebuild.
-	replayAll := func(g int) error {
-		kern.prepare(&cfg, pop)
-		for k := lo; k < hi; k++ {
-			i, j := pairToIJ(s, k)
-			v, err := kern.pairPayoff(&cfg, master, g, i, j, pop.strategies[i], pop.strategies[j])
-			if err != nil {
-				return err
-			}
-			payoffs[k-lo] = v
-			games++
-		}
-		return nil
+		played, err := refreshPairs(&cfg, pop, master, kern, g, full, lo, payoffs)
+		games += played
+		return err
 	}
 	// segment extracts the owned, contiguous payoff slice of SSet i's row
 	// (nil when this worker owns none of it).
@@ -687,12 +584,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 	oneGeneration := func(c *mpi.Comm) error {
 		// Game dynamics: replay this worker's pairs.
 		tg := pt.begin()
-		if pendingFull {
-			pendingFull = false
-			if err := replayAll(replayGen); err != nil {
-				return err
-			}
-		} else if err := refresh(gen); err != nil {
+		if err := refresh(); err != nil {
 			return err
 		}
 		pt.end(PhaseGamePlay, tg)
@@ -762,8 +654,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 		// block before shipping it.
 		if pendingFull {
 			tg := pt.begin()
-			pendingFull = false
-			if err := replayAll(replayGen); err != nil {
+			if err := refresh(); err != nil {
 				return err
 			}
 			pt.end(PhaseGamePlay, tg)
@@ -848,8 +739,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 			gen = rs.Gen
 			replayGen = rs.Replay
 			pendingFull = true
-			w = nc.Rank() - 1
-			lo, hi = blockRange(s*(s-1), nc.Size()-1, w)
+			lo, hi = blockRange(s*(s-1), nc.Size()-1, nc.Rank()-1)
 			payoffs = make([]float64, hi-lo)
 			games = 0
 			return nc, nil

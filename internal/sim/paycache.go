@@ -14,7 +14,7 @@ import (
 // strategy-pair payoff cache, and a pointer-keyed fingerprint memo. Each
 // rank (and the sequential engine) owns exactly one kernel; none of its
 // state is shared or sent. A nil kernel is valid and selects the plain
-// uncached path — tests exercising refreshPayoffs directly rely on this.
+// uncached path — tests exercising refreshPairs directly rely on this.
 //
 // The cacheability contract (docs/KERNEL.md): a pair payoff may be served
 // from the cache only when replaying the match is guaranteed to reproduce

@@ -8,15 +8,12 @@ import (
 	"repro/internal/strategy"
 )
 
-// Population is the global view of the strategy space the paper's Nature
-// Agent maintains: the strategy assigned to each SSet plus the pairwise
-// payoff table from which SSet fitness derives.
+// Population is the global strategy view every rank keeps: the strategy
+// assigned to each SSet. Payoffs live with the ranks that play the games
+// (see refreshPairs), not here.
 type Population struct {
 	space      strategy.Space
 	strategies []strategy.Strategy
-	// payoff[i*S+j] is the mean per-round payoff SSet i's strategy earns
-	// against SSet j's strategy (i != j). The diagonal is unused.
-	payoff []float64
 	// dirty marks SSets whose strategy changed since their games were last
 	// replayed (incremental mode).
 	dirty []bool
@@ -30,7 +27,6 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 	p := &Population{
 		space:      sp,
 		strategies: make([]strategy.Strategy, cfg.NumSSets),
-		payoff:     make([]float64, cfg.NumSSets*cfg.NumSSets),
 		dirty:      make([]bool, cfg.NumSSets),
 	}
 	for i := range p.strategies {
@@ -72,50 +68,6 @@ func (p *Population) Adopt(learner, teacher int) {
 	p.dirty[learner] = true
 }
 
-// Payoff returns the cached mean per-round payoff of i against j.
-func (p *Population) Payoff(i, j int) float64 { return p.payoff[i*len(p.strategies)+j] }
-
-func (p *Population) setPayoff(i, j int, v float64) { p.payoff[i*len(p.strategies)+j] = v }
-
-// Fitness returns SSet i's relative fitness: its mean per-round payoff
-// averaged over all S-1 opponents. The payoff table already stores mean
-// per-round payoffs (game.Result.Mean0 divides by rounds; exact mode is
-// per-round by construction), so the only normalisation applied here is
-// 1/(S-1) — together they realise the paper's 1/((S-1)*rounds) scaling of
-// raw match totals. The Fermi exponent therefore always works on the
-// per-round payoff scale ([S..T], 1 = all-defect to 3 = full cooperation
-// under the standard payoff), independent of population size and match
-// length.
-func (p *Population) Fitness(i int) float64 {
-	s := len(p.strategies)
-	total := 0.0
-	for j := 0; j < s; j++ {
-		if j != i {
-			total += p.Payoff(i, j)
-		}
-	}
-	return total / float64(s-1)
-}
-
-// Fitnesses returns all SSet fitnesses.
-func (p *Population) Fitnesses() []float64 {
-	out := make([]float64, p.Size())
-	for i := range out {
-		out[i] = p.Fitness(i)
-	}
-	return out
-}
-
-// MeanFitness returns the population's mean relative fitness. Under the
-// standard payoff it ranges from 1 (all-defect) to 3 (full cooperation).
-func (p *Population) MeanFitness() float64 {
-	total := 0.0
-	for i := 0; i < p.Size(); i++ {
-		total += p.Fitness(i)
-	}
-	return total / float64(p.Size())
-}
-
 // Abundance returns the strategy-abundance tally of the current population.
 func (p *Population) Abundance() *stats.Abundance {
 	a := stats.NewAbundance()
@@ -125,24 +77,21 @@ func (p *Population) Abundance() *stats.Abundance {
 	return a
 }
 
-// FractionMatching returns the share of SSets whose strategy equals ref
-// (e.g. the WSLS fraction tracked in Fig. 2).
-func (p *Population) FractionMatching(ref strategy.Strategy) float64 {
-	n := 0
-	for _, s := range p.strategies {
-		if s.Equal(ref) {
-			n++
-		}
-	}
-	return float64(n) / float64(p.Size())
-}
-
 // FractionNear returns the share of SSets whose strategy rounds to the pure
 // strategy ref — the clustering view used for mixed-strategy populations,
 // where exact equality never occurs.
 func (p *Population) FractionNear(ref *strategy.Pure) float64 {
+	return fractionNear(p.strategies, ref)
+}
+
+// fractionNear returns the share of strategies that equal the pure strategy
+// ref or, for mixed ones, round to it (0 for an empty slice).
+func fractionNear(strats []strategy.Strategy, ref *strategy.Pure) float64 {
+	if len(strats) == 0 {
+		return 0
+	}
 	n := 0
-	for _, s := range p.strategies {
+	for _, s := range strats {
 		switch v := s.(type) {
 		case *strategy.Pure:
 			if v.Equal(ref) {
@@ -154,7 +103,7 @@ func (p *Population) FractionNear(ref *strategy.Pure) float64 {
 			}
 		}
 	}
-	return float64(n) / float64(p.Size())
+	return float64(n) / float64(len(strats))
 }
 
 // MeanCooperationProb returns the average cooperation probability across
@@ -187,38 +136,95 @@ func Fermi(beta, piT, piL float64) float64 {
 	return 1.0 / (1.0 + math.Exp(-beta*(piT-piL)))
 }
 
-// refreshPayoffs brings the payoff table up to date for generation gen over
-// the SSet range [lo, hi) (the rows this caller owns). In full-recompute
-// mode every owned row is replayed; in incremental mode only games
-// involving a dirty SSet are. Column entries i<j and j<i are separate games,
-// exactly as in the paper where each SSet's own agents model all its
-// matches. Match evaluation goes through kern (payoffKernel.pairPayoff; a
-// nil kernel selects the plain uncached path). Returns the number of games
-// played — a cache hit still counts, since the game was scheduled and its
-// payoff delivered; only the recomputation was skipped. A pairPayoff failure
-// aborts the refresh and propagates so the run fails cleanly instead of
-// panicking.
-func refreshPayoffs(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen, lo, hi int) (uint64, error) {
-	games := uint64(0)
-	s := pop.Size()
+// refreshPairs brings a block of the flat, i-major pair list up to date
+// for generation gen: payoffs[k] is the mean per-round payoff pair lo+k's
+// row SSet earns against its column SSet (see pairToIJ). With full set
+// every pair is replayed (FullRecompute, or the rebuild after an eviction
+// re-sharded the block); otherwise only pairs with a dirty participant are.
+// (i, j) and (j, i) are separate games, exactly as in the paper where each
+// SSet's own agents model all its matches. The sequential engine passes the
+// whole list, a worker its own block.
+//
+// Match evaluation goes through kern (a nil kernel selects the plain
+// uncached path). Returns the number of games played — a cache hit still
+// counts, since the game was scheduled and its payoff delivered. A
+// pairPayoff failure aborts the pass and propagates, so the run fails
+// cleanly instead of panicking.
+func refreshPairs(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen int, full bool, lo int, payoffs []float64) (uint64, error) {
 	kern.prepare(cfg, pop)
-	for i := lo; i < hi; i++ {
-		replayAll := cfg.FullRecompute || pop.dirty[i]
-		for j := 0; j < s; j++ {
-			if j == i {
-				continue
+	s := pop.Size()
+	games := uint64(0)
+	i, j := pairToIJ(s, lo)
+	for k := range payoffs {
+		if full || pop.dirty[i] || pop.dirty[j] {
+			v, err := kern.pairPayoff(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
+			if err != nil {
+				return games, err
 			}
-			if replayAll || pop.dirty[j] {
-				v, err := kern.pairPayoff(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
-				if err != nil {
-					return games, err
-				}
-				pop.setPayoff(i, j, v)
-				games++
-			}
+			payoffs[k] = v
+			games++
+		}
+		// Step to the next pair in i-major order, skipping the diagonal.
+		if j++; j == i {
+			j++
+		}
+		if j == s {
+			i, j = i+1, 0
 		}
 	}
 	return games, nil
+}
+
+// scheduledGames counts the games a refresh pass over every pair plays
+// under the current dirty marks: all S×(S-1) pairs in full mode, otherwise
+// all but the clean×clean ones. The parallel engine's Nature rank plays no
+// games; this count keeps its GamesPlayed current without a reduction.
+func (p *Population) scheduledGames(full bool) uint64 {
+	s := p.Size()
+	if full {
+		return uint64(s) * uint64(s-1)
+	}
+	clean := s
+	for _, d := range p.dirty {
+		if d {
+			clean--
+		}
+	}
+	return uint64(s*(s-1) - clean*(clean-1))
+}
+
+// rowFitness folds one SSet's row of payoffs against its S-1 opponents, in
+// ascending column order, into its relative fitness: the mean per-round
+// payoff averaged over all opponents. The payoffs already are per-round
+// means (game.Result.Mean0 divides by rounds; exact mode is per-round by
+// construction), so the only normalisation applied here is 1/(S-1) —
+// together they realise the paper's 1/((S-1)*rounds) scaling of raw match
+// totals. The Fermi exponent therefore always works on the per-round payoff
+// scale ([S..T], 1 = all-defect to 3 = full cooperation under the standard
+// payoff), independent of population size and match length. Every engine
+// folds in this one order, which keeps fitness bit-identical across them.
+func rowFitness(row []float64) float64 {
+	total := 0.0
+	for _, v := range row {
+		total += v
+	}
+	return total / float64(len(row))
+}
+
+// payoffRow returns SSet i's row of the whole flat pair list: its payoffs
+// against every other SSet, in ascending column order.
+func payoffRow(payoffs []float64, s, i int) []float64 {
+	return payoffs[i*(s-1) : (i+1)*(s-1)]
+}
+
+// fitnesses folds every SSet's row of the whole flat pair list into its
+// fitness (see rowFitness).
+func fitnesses(payoffs []float64, s int) []float64 {
+	out := make([]float64, s)
+	for i := range out {
+		out[i] = rowFitness(payoffRow(payoffs, s, i))
+	}
+	return out
 }
 
 // clearDirty resets the dirty marks after all owners refreshed their rows.

@@ -70,23 +70,21 @@ func TestAdoptClones(t *testing.T) {
 }
 
 func TestFitnessFromPayoffs(t *testing.T) {
-	cfg := testConfig(1, 3, 0)
-	_ = cfg.Validate()
-	p := NewPopulation(cfg, rng.New(3))
-	p.setPayoff(0, 1, 2.0)
-	p.setPayoff(0, 2, 4.0)
-	if got := p.Fitness(0); got != 3.0 {
+	// S = 3: each row holds an SSet's payoffs against its two opponents.
+	payoffs := []float64{2.0, 4.0, 1.0, 1.0, 3.0, 3.0}
+	if got := rowFitness(payoffs[0:2]); got != 3.0 {
 		t.Fatalf("fitness = %v, want 3", got)
 	}
-	fs := p.Fitnesses()
-	if len(fs) != 3 || fs[0] != 3.0 {
-		t.Fatalf("Fitnesses = %v", fs)
+	for i, want := range []float64{3, 1, 3} {
+		if got := rowFitness(payoffs[2*i : 2*i+2]); got != want {
+			t.Fatalf("row %d fitness = %v, want %v", i, got, want)
+		}
 	}
 }
 
 func TestFitnessScaleIsPerRound(t *testing.T) {
 	// The Fermi-exponent contract: fitness is a mean PER-ROUND payoff
-	// averaged over S-1 opponents — the payoff table already divides by the
+	// averaged over S-1 opponents — the pair payoffs already divide by the
 	// match length, so fitness must not change with Rules.Rounds. AllD in a
 	// field of AllC earns exactly the temptation payoff every round.
 	for _, rounds := range []int{10, 200} {
@@ -101,10 +99,12 @@ func TestFitnessScaleIsPerRound(t *testing.T) {
 		for i := 1; i < pop.Size(); i++ {
 			pop.SetStrategy(i, strategy.AllC(pop.Space()))
 		}
-		if _, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size()); err != nil {
+		s := pop.Size()
+		payoffs := make([]float64, s*(s-1))
+		if _, err := refreshPairs(&cfg, pop, master, nil, 0, false, 0, payoffs); err != nil {
 			t.Fatal(err)
 		}
-		if got := pop.Fitness(0); got != cfg.Rules.Payoff.T {
+		if got := rowFitness(payoffs[:s-1]); got != cfg.Rules.Payoff.T {
 			t.Fatalf("rounds=%d: AllD fitness = %v, want temptation %v (per-round scale)",
 				rounds, got, cfg.Rules.Payoff.T)
 		}
@@ -120,20 +120,22 @@ func TestFractionMatchingAndNear(t *testing.T) {
 	p.SetStrategy(1, w.Clone())
 	p.SetStrategy(2, strategy.AllD(p.Space()))
 	p.SetStrategy(3, strategy.AllC(p.Space()))
-	if got := p.FractionMatching(w); got != 0.5 {
-		t.Fatalf("FractionMatching = %v", got)
-	}
 	if got := p.FractionNear(w); got != 0.5 {
 		t.Fatalf("FractionNear = %v", got)
 	}
-	// A mixed strategy close to WSLS counts for FractionNear only.
+	// A mixed strategy close to WSLS counts as near it.
 	m := strategy.MixedFromProbs(p.Space(), []float64{0.95, 0.1, 0.2, 0.9})
 	p.SetStrategy(3, m)
 	if got := p.FractionNear(w); got != 0.75 {
 		t.Fatalf("FractionNear with mixed = %v, want 0.75", got)
 	}
-	if got := p.FractionMatching(w); got != 0.5 {
-		t.Fatalf("FractionMatching changed: %v", got)
+	// The Result view over the final strategies agrees.
+	r := &Result{Final: p.Snapshot()}
+	if got := r.FractionNear(w); got != 0.75 {
+		t.Fatalf("Result.FractionNear = %v, want 0.75", got)
+	}
+	if got := (&Result{}).FractionNear(w); got != 0 {
+		t.Fatalf("empty Result.FractionNear = %v, want 0", got)
 	}
 }
 
@@ -294,8 +296,12 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	_ = cfg.Validate()
 	master := rng.New(9)
 	pop := NewPopulation(cfg, master)
+	payoffs := make([]float64, 30)
+	refresh := func(gen int) (uint64, error) {
+		return refreshPairs(&cfg, pop, master, nil, gen, cfg.FullRecompute, 0, payoffs)
+	}
 	// First refresh: everything dirty -> S*(S-1) games.
-	games, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size())
+	games, err := refresh(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,19 +310,63 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	}
 	pop.clearDirty()
 	// Nothing changed: zero games.
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 1, 0, pop.Size()); err != nil || g != 0 {
+	if g, err := refresh(1); err != nil || g != 0 {
 		t.Fatalf("clean refresh played %d games (err %v)", g, err)
 	}
 	// One SSet changes: its row (5 games) plus its column (5 games).
 	pop.SetStrategy(2, strategy.AllD(pop.Space()))
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 2, 0, pop.Size()); err != nil || g != 10 {
+	if g, err := refresh(2); err != nil || g != 10 {
 		t.Fatalf("single-change refresh played %d games, want 10 (err %v)", g, err)
 	}
 	pop.clearDirty()
 	// Full recompute mode: always S*(S-1).
 	cfg.FullRecompute = true
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 3, 0, pop.Size()); err != nil || g != 30 {
+	if g, err := refresh(3); err != nil || g != 30 {
 		t.Fatalf("full recompute played %d games, want 30 (err %v)", g, err)
+	}
+}
+
+// A worker refreshes only its block of the flat pair list; stepping (i, j)
+// through any block must land on the same pairs, and so the same payoffs
+// and game counts, as a pass over the whole list — for every block split
+// the engine can produce, including blocks that start or end mid-row.
+func TestRefreshPairsBlocksMatchWholeList(t *testing.T) {
+	cfg := testConfig(1, 5, 0)
+	cfg.Kind = MixedStrategies
+	_ = cfg.Validate()
+	master := rng.New(12)
+	pop := NewPopulation(cfg, master)
+	n := pop.Size() * (pop.Size() - 1)
+	whole := make([]float64, n)
+	if _, err := refreshPairs(&cfg, pop, master, nil, 4, true, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	pop.clearDirty()
+	pop.SetStrategy(3, strategy.AllD(pop.Space()))
+	wantGames := pop.scheduledGames(false)
+	if _, err := refreshPairs(&cfg, pop, master, nil, 5, false, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 3, 7, n} {
+		got := make([]float64, n)
+		games := uint64(0)
+		for w := 0; w < workers; w++ {
+			lo, hi := blockRange(n, workers, w)
+			g, err := refreshPairs(&cfg, pop, master, nil, 5, false, lo, got[lo:hi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			games += g
+		}
+		if games != wantGames {
+			t.Fatalf("%d workers played %d games, want %d", workers, games, wantGames)
+		}
+		for k := range got {
+			i, j := pairToIJ(pop.Size(), k)
+			if (i == 3 || j == 3) && got[k] != whole[k] {
+				t.Fatalf("%d workers: pair %d (%d,%d) = %v, want %v", workers, k, i, j, got[k], whole[k])
+			}
+		}
 	}
 }
 
@@ -327,14 +377,16 @@ func TestPayoffValuesMatchDirectPlay(t *testing.T) {
 	pop := NewPopulation(cfg, master)
 	pop.SetStrategy(0, strategy.AllC(pop.Space()))
 	pop.SetStrategy(1, strategy.AllD(pop.Space()))
-	if _, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size()); err != nil {
+	payoffs := make([]float64, 12)
+	if _, err := refreshPairs(&cfg, pop, master, nil, 0, false, 0, payoffs); err != nil {
 		t.Fatal(err)
 	}
 	// ALLC vs ALLD: sucker payoff 0 per round; ALLD vs ALLC: temptation 4.
-	if got := pop.Payoff(0, 1); got != 0 {
+	// Pair (0,1) is the first of row 0, pair (1,0) the first of row 1.
+	if got := payoffs[0]; got != 0 {
 		t.Fatalf("payoff(ALLC,ALLD) = %v", got)
 	}
-	if got := pop.Payoff(1, 0); got != 4 {
+	if got := payoffs[3]; got != 4 {
 		t.Fatalf("payoff(ALLD,ALLC) = %v", got)
 	}
 }

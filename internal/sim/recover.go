@@ -84,15 +84,8 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 	// Validate up front (normalising SampleStride against the full window,
 	// so resumed segments sample on the original schedule); any later
 	// failure is then a runtime fault and retryable.
-	if err := cfg.Validate(); err != nil {
+	if err := checkRanks(&cfg, ranks); err != nil {
 		return nil, err
-	}
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	if ranks-1 > cfg.NumSSets*(cfg.NumSSets-1) {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation",
-			ranks-1, cfg.NumSSets*(cfg.NumSSets-1))
 	}
 
 	logEvent := func(e trace.Event) {
@@ -155,34 +148,19 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 // run resumed from the latest checkpoint, or from scratch when none exists.
 // It returns the absolute generation the attempt starts from.
 func restartConfig(cfg Config, attempt int) (Config, int, error) {
-	cur := cfg
 	if cfg.CheckpointSink == nil {
-		return cur, cfg.StartGeneration, nil
+		return cfg, cfg.StartGeneration, nil
 	}
 	snap, err := cfg.CheckpointSink.Latest()
 	if err != nil {
-		return cur, 0, fmt.Errorf("sim: restart %d: reading checkpoint: %w", attempt+1, err)
+		return cfg, 0, fmt.Errorf("sim: restart %d: reading checkpoint: %w", attempt+1, err)
 	}
 	if snap == nil {
-		return cur, cfg.StartGeneration, nil
+		return cfg, cfg.StartGeneration, nil
 	}
-	// A snapshot from a different run would silently fork the trajectory;
-	// fail fast instead.
-	if snap.Seed != cfg.Seed || snap.Memory != cfg.Memory || len(snap.Strategies) != cfg.NumSSets {
-		return cur, 0, fmt.Errorf("sim: restart %d: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
-			attempt+1, snap.Seed, snap.Memory, len(snap.Strategies), cfg.Seed, cfg.Memory, cfg.NumSSets)
+	cur, err := cfg.Resume(snap)
+	if err != nil {
+		return cfg, 0, fmt.Errorf("sim: restart %d: %w", attempt+1, err)
 	}
-	end := cfg.StartGeneration + cfg.Generations
-	resumeGen := int(snap.Generation)
-	if resumeGen < cfg.StartGeneration || resumeGen > end {
-		return cur, 0, fmt.Errorf("sim: restart %d: checkpoint generation %d outside run window [%d,%d]",
-			attempt+1, resumeGen, cfg.StartGeneration, end)
-	}
-	cur.InitialStrategies = snap.Strategies
-	cur.StartGeneration = resumeGen
-	cur.Generations = end - resumeGen
-	if snap.Counters != nil {
-		cur.BaseCounters = runToCounters(snap.Counters)
-	}
-	return cur, resumeGen, nil
+	return cur, cur.StartGeneration, nil
 }

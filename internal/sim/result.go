@@ -57,21 +57,5 @@ func (r *Result) FinalAbundance() *stats.Abundance {
 // FractionNear returns the share of final SSets whose strategy rounds to
 // the pure strategy ref (Fig. 2's "85% of all SSets adopted WSLS" measure).
 func (r *Result) FractionNear(ref *strategy.Pure) float64 {
-	n := 0
-	for _, s := range r.Final {
-		switch v := s.(type) {
-		case *strategy.Pure:
-			if v.Equal(ref) {
-				n++
-			}
-		case *strategy.Mixed:
-			if v.NearestPure().Equal(ref) {
-				n++
-			}
-		}
-	}
-	if len(r.Final) == 0 {
-		return 0
-	}
-	return float64(n) / float64(len(r.Final))
+	return fractionNear(r.Final, ref)
 }

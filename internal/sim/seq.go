@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -17,105 +15,64 @@ func RunSequential(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	master := rng.New(cfg.Seed)
-	pop := NewPopulation(cfg, master)
+	n := newNature(&cfg)
+	n.res.Ranks = 1
 	kern := newPayoffKernel(&cfg)
-	res := &Result{Ranks: 1, Counters: cfg.BaseCounters}
-	res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
-	res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
-	var pt *phaseTimer
-	if cfg.Metrics {
-		pt = newPhaseTimer()
-	}
+	s := cfg.NumSSets
+	payoffs := make([]float64, s*(s-1)) // the whole flat pair list
 
-	for gen := cfg.StartGeneration; gen < cfg.StartGeneration+cfg.Generations; gen++ {
+	for gen := cfg.StartGeneration; gen < n.end; gen++ {
 		// Control poll: a non-nil return stops the run at this generation
 		// boundary (pause/cancel for a hosting service). The partial Result
 		// rides along with ErrStopped so the caller keeps the series sampled
 		// before the cut; a resumed segment's series appended to it is
 		// bit-identical to an uninterrupted run's.
-		if cfg.Control != nil {
-			if cause := cfg.Control(gen); cause != nil {
-				return res, stopRun(&cfg, pop, gen, res.Counters, res.MeanFitness, res.Cooperation, cause)
-			}
+		if cause := n.control(gen); cause != nil {
+			return n.res, n.stop(gen, cause)
 		}
 		// Game dynamics: bring every SSet's payoff row up to date.
-		tg := pt.begin()
-		played, err := refreshPayoffs(&cfg, pop, master, kern, gen, 0, pop.Size())
-		res.Counters.GamesPlayed += played
+		tg := n.pt.begin()
+		played, err := refreshPairs(&cfg, n.pop, n.master, kern, gen, cfg.FullRecompute, 0, payoffs)
+		n.res.Counters.GamesPlayed += played
 		if err != nil {
 			return nil, err
 		}
-		pt.end(PhaseGamePlay, tg)
-		pop.clearDirty()
+		n.pt.end(PhaseGamePlay, tg)
+		n.pop.clearDirty()
 
 		// Population dynamics: the Nature Agent's step.
-		tn := pt.begin()
-		ev := natureStep(&cfg, pop, master, gen, &res.Counters)
-		pt.end(PhaseNatureStep, tn)
-
-		res.MeanFitness.Observe(gen, pop.MeanFitness())
-		res.Cooperation.Observe(gen, pop.MeanCooperationProb())
-		if cfg.Observer != nil {
-			cfg.Observer.Generation(gen, pop, ev)
+		tn := n.pt.begin()
+		d := natureDecision(&cfg, n.master, gen)
+		var piT, piL float64
+		if d.pc {
+			piT = rowFitness(payoffRow(payoffs, s, d.teacher))
+			piL = rowFitness(payoffRow(payoffs, s, d.learner))
 		}
-		// Same absolute-generation checkpoint cadence as the parallel
-		// engine, so sequential and parallel runs write identical snapshots.
-		if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
-			tc := pt.begin()
-			if err := saveSnapshot(&cfg, pop, gen+1, res.Counters, res.MeanFitness, res.Cooperation); err != nil {
-				return nil, err
+		ev := n.step(gen, d, piT, piL)
+		n.pt.end(PhaseNatureStep, tn)
+
+		mean := 0.0
+		if n.sampled(gen) {
+			for i := 0; i < s; i++ {
+				mean += rowFitness(payoffRow(payoffs, s, i))
 			}
-			pt.end(PhaseCheckpoint, tc)
-			if cfg.EventLog != nil {
-				cfg.EventLog.Append(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
-			}
+			mean /= float64(s)
+		}
+		if err := n.finishGeneration(gen, ev, mean); err != nil {
+			return nil, err
 		}
 	}
 
-	res.Final = pop.Snapshot()
-	res.FinalFitness = pop.Fitnesses()
+	res := n.res
+	res.Final = n.pop.Snapshot()
+	res.FinalFitness = fitnesses(payoffs, s)
 	res.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	if cfg.Metrics {
-		snap := pt.snapshot(0)
+		snap := n.pt.snapshot(0)
 		snap.Cache = kern.cacheStats()
 		res.Metrics = &RunMetrics{Phases: []RankPhaseSnapshot{snap}}
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics,
-				Generation: cfg.StartGeneration + cfg.Generations, Rank: 0,
-				Detail: fmt.Sprintf("games=%d", res.Counters.GamesPlayed)})
-		}
+		n.log(trace.Event{Kind: trace.EventMetrics, Generation: n.end, Rank: 0,
+			Detail: fmt.Sprintf("games=%d", res.Counters.GamesPlayed)})
 	}
 	return res, nil
-}
-
-// natureStep performs one generation of population dynamics on a population
-// with up-to-date payoffs: the PC learning event and the mutation event,
-// per the paper's Nature Agent pseudo-code. Used verbatim by the sequential
-// engine and by rank 0 of the parallel engine (operating on its global
-// view), which is what keeps the two trajectories identical.
-func natureStep(cfg *Config, pop *Population, master *rng.Source, gen int, ctr *Counters) Events {
-	d := natureDecision(cfg, master, gen)
-	ev := Events{
-		PCOccurred:       d.pc,
-		Teacher:          d.teacher,
-		Learner:          d.learner,
-		MutationOccurred: d.mutate,
-		Mutant:           d.mutant,
-	}
-	if d.pc {
-		ctr.PCEvents++
-		piT := pop.Fitness(d.teacher)
-		piL := pop.Fitness(d.learner)
-		if resolveAdoption(cfg, master, gen, piT, piL) {
-			pop.Adopt(d.learner, d.teacher)
-			ev.Adopted = true
-			ctr.Adoptions++
-		}
-	}
-	if d.mutate {
-		ctr.Mutations++
-		pop.SetStrategy(d.mutant, mutantStrategy(cfg, master, pop.Space(), gen))
-	}
-	return ev
 }

@@ -140,22 +140,22 @@ func (f *FileSink) Latest() (*checkpoint.Snapshot, error) {
 	return checkpoint.Read(file)
 }
 
-// saveSnapshot captures the population after gen completed generations,
-// with the run's cumulative counters — and, under cfg.CheckpointSeries,
-// the series sampled so far — into the configured sink.
-func saveSnapshot(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop *stats.Series) error {
+// save captures the population after gen completed generations, with the
+// run's cumulative counters — and, under cfg.CheckpointSeries, the series
+// sampled so far — into the configured sink.
+func (n *nature) save(gen int) error {
 	snap := &checkpoint.Snapshot{
 		Generation: uint64(gen),
-		Seed:       cfg.Seed,
-		Memory:     cfg.Memory,
-		Strategies: pop.Snapshot(),
-		Counters:   countersToRun(ctr),
+		Seed:       n.cfg.Seed,
+		Memory:     n.cfg.Memory,
+		Strategies: n.pop.Snapshot(),
+		Counters:   countersToRun(n.res.Counters),
 	}
-	if cfg.CheckpointSeries {
-		snap.MeanFitness = seriesToPoints(fit)
-		snap.Cooperation = seriesToPoints(coop)
+	if n.cfg.CheckpointSeries {
+		snap.MeanFitness = seriesToPoints(n.res.MeanFitness)
+		snap.Cooperation = seriesToPoints(n.res.Cooperation)
 	}
-	if err := cfg.CheckpointSink.Save(snap); err != nil {
+	if err := n.cfg.CheckpointSink.Save(snap); err != nil {
 		return fmt.Errorf("sim: checkpoint at generation %d: %w", gen, err)
 	}
 	return nil
@@ -184,6 +184,35 @@ func countersToRun(c Counters) *checkpoint.RunCounters {
 		Adoptions:   c.Adoptions,
 		Mutations:   c.Mutations,
 	}
+}
+
+// Resume returns c continued from snap, a checkpoint of the same run: the
+// population starts from snap's strategies at snap's generation, with its
+// cumulative counters when it carries them, and the run keeps its end
+// generation, c.StartGeneration+c.Generations. Per-generation randomness
+// re-derives from (Seed, generation), so the resumed run continues the
+// original trajectory. It rejects a snapshot of another run (seed, memory
+// or SSet count differ), which would silently fork the trajectory, and one
+// outside the run's window. A caller that wants to run a fixed number of
+// generations past the checkpoint sets StartGeneration to its generation
+// first.
+func (c Config) Resume(snap *checkpoint.Snapshot) (Config, error) {
+	if snap.Seed != c.Seed || snap.Memory != c.Memory || len(snap.Strategies) != c.NumSSets {
+		return c, fmt.Errorf("sim: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
+			snap.Seed, snap.Memory, len(snap.Strategies), c.Seed, c.Memory, c.NumSSets)
+	}
+	end := c.StartGeneration + c.Generations
+	gen := int(snap.Generation)
+	if gen < c.StartGeneration || gen > end {
+		return c, fmt.Errorf("sim: checkpoint generation %d outside run window [%d,%d]", gen, c.StartGeneration, end)
+	}
+	c.InitialStrategies = snap.Strategies
+	c.StartGeneration = gen
+	c.Generations = end - gen
+	if snap.Counters != nil {
+		c.BaseCounters = runToCounters(snap.Counters)
+	}
+	return c, nil
 }
 
 // runToCounters converts checkpoint counters back; a nil input (a version-1

@@ -1,7 +1,7 @@
 // Package stats provides the numerical accumulators the simulation uses to
-// summarise evolution trajectories: streaming mean/variance (Welford),
-// histograms, time series with fixed-stride sampling, and strategy-abundance
-// tracking used for the paper's Fig. 2 analysis.
+// summarise evolution trajectories: streaming mean/variance (Welford), time
+// series with fixed-stride sampling, and strategy-abundance tracking used
+// for the paper's Fig. 2 analysis.
 package stats
 
 import (
@@ -81,67 +81,6 @@ func (w *Welford) Merge(o Welford) {
 		w.max = o.max
 	}
 	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Histogram counts values into uniform bins over [lo, hi); out-of-range
-// values clamp to the end bins.
-type Histogram struct {
-	lo, hi float64
-	counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%v,%v) empty", lo, hi)
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, bins)}, nil
-}
-
-// Add counts one value.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.counts)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Counts returns the per-bin counts (not a copy).
-func (h *Histogram) Counts() []int { return h.counts }
-
-// Total returns the number of added values.
-func (h *Histogram) Total() int { return h.total }
-
-// Quantile returns the approximate q-quantile (by bin midpoint), q in [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	cum := 0.0
-	width := (h.hi - h.lo) / float64(len(h.counts))
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum >= target {
-			return h.lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.hi - width/2
 }
 
 // Series is a time series sampled at a fixed generation stride, bounding

@@ -83,69 +83,6 @@ func TestWelfordMergeEmptyCases(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts() {
-		if c != 1 {
-			t.Fatalf("bin %d count %d", i, c)
-		}
-	}
-	if h.Total() != 10 {
-		t.Fatalf("total %d", h.Total())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 4)
-	h.Add(-100)
-	h.Add(100)
-	h.Add(1.0) // exactly hi clamps into last bin
-	if h.Counts()[0] != 1 || h.Counts()[3] != 2 {
-		t.Fatalf("clamping wrong: %v", h.Counts())
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(1, 1, 4); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, _ := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	med := h.Quantile(0.5)
-	if math.Abs(med-50) > 1.5 {
-		t.Fatalf("median = %v", med)
-	}
-	if !math.IsNaN(NewEmptyHist(t).Quantile(0.5)) {
-		t.Fatal("empty quantile not NaN")
-	}
-	if h.Quantile(-1) > h.Quantile(2) {
-		t.Fatal("clamped quantiles out of order")
-	}
-}
-
-func NewEmptyHist(t *testing.T) *Histogram {
-	t.Helper()
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
 func TestSeriesStride(t *testing.T) {
 	s, err := NewSeries(10)
 	if err != nil {

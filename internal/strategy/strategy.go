@@ -235,21 +235,6 @@ func (m *Mixed) String() string {
 	return sb.String()
 }
 
-// Quantize snaps each probability to the nearest of levels equally spaced
-// values in [0,1]; with levels == 2 this produces the nearest pure strategy.
-// It returns m for chaining. It panics if levels < 2.
-func (m *Mixed) Quantize(levels int) *Mixed {
-	if levels < 2 {
-		panic("strategy: Quantize needs levels >= 2")
-	}
-	step := 1.0 / float64(levels-1)
-	for i, v := range m.p {
-		k := int(v/step + 0.5)
-		m.p[i] = float64(k) * step
-	}
-	return m
-}
-
 // NearestPure returns the pure strategy obtained by rounding each state's
 // cooperation probability (ties, p == 0.5, round toward defection so the
 // map is deterministic).

@@ -144,25 +144,6 @@ func TestMixedEqualFingerprint(t *testing.T) {
 	}
 }
 
-func TestQuantize(t *testing.T) {
-	m := MixedFromProbs(NewSpace(1), []float64{0.1, 0.49, 0.51, 0.9})
-	m.Quantize(2)
-	want := []float64{0, 0, 1, 1}
-	for i, w := range want {
-		if m.CooperateProb(uint32(i)) != w {
-			t.Fatalf("state %d quantized to %v, want %v", i, m.CooperateProb(uint32(i)), w)
-		}
-	}
-	m2 := MixedFromProbs(NewSpace(1), []float64{0.1, 0.4, 0.6, 0.8})
-	m2.Quantize(3)
-	want2 := []float64{0, 0.5, 0.5, 1}
-	for i, w := range want2 {
-		if m2.CooperateProb(uint32(i)) != w {
-			t.Fatalf("3-level state %d: %v, want %v", i, m2.CooperateProb(uint32(i)), w)
-		}
-	}
-}
-
 func TestNearestPure(t *testing.T) {
 	m := MixedFromProbs(NewSpace(1), []float64{0.9, 0.1, 0.5, 0.51})
 	p := m.NearestPure()
