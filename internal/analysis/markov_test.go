@@ -236,25 +236,6 @@ func TestExactPureMismatchedSpaces(t *testing.T) {
 	}
 }
 
-func TestCooperationRatePure(t *testing.T) {
-	r, err := CooperationRatePure(strategy.AllC(sp1()), strategy.AllC(sp1()))
-	if err != nil || r != 1 {
-		t.Fatalf("ALLC self coop rate %v (%v)", r, err)
-	}
-	r, err = CooperationRatePure(strategy.AllD(sp1()), strategy.AllD(sp1()))
-	if err != nil || r != 0 {
-		t.Fatalf("ALLD self coop rate %v", r)
-	}
-	// WSLS vs ALLD: WSLS alternates C/D, ALLD never cooperates -> 1/4.
-	r, err = CooperationRatePure(strategy.WSLS(sp1()), strategy.AllD(sp1()))
-	if err != nil || r != 0.25 {
-		t.Fatalf("WSLS vs ALLD coop rate %v, want 0.25", r)
-	}
-	if _, err := CooperationRatePure(strategy.AllC(sp1()), strategy.AllC(strategy.NewSpace(2))); err == nil {
-		t.Fatal("mismatched spaces accepted")
-	}
-}
-
 func BenchmarkMarkovPayoff(b *testing.B) {
 	s0 := strategy.GTFT(sp1(), 1.0/3.0)
 	s1 := strategy.WSLS(sp1())

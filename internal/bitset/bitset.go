@@ -7,7 +7,6 @@
 package bitset
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -32,19 +31,6 @@ func New(n int) *Bitset {
 }
 
 func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
-
-// FromWords builds a Bitset of n bits from the given word slice (copied).
-// Bits beyond n in the last word are cleared. It panics if the slice is too
-// short for n bits.
-func FromWords(n int, words []uint64) *Bitset {
-	if len(words) < wordsFor(n) {
-		panic("bitset: FromWords slice too short")
-	}
-	b := New(n)
-	copy(b.words, words[:wordsFor(n)])
-	b.trim()
-	return b
-}
 
 // trim clears any bits beyond the logical length in the last word so that
 // Equal, Hamming, and Count stay exact.
@@ -96,14 +82,6 @@ func (b *Bitset) Clone() *Bitset {
 	return c
 }
 
-// CopyFrom overwrites b with src. Both must have the same length.
-func (b *Bitset) CopyFrom(src *Bitset) {
-	if b.n != src.n {
-		panic("bitset: CopyFrom length mismatch")
-	}
-	copy(b.words, src.words)
-}
-
 // Equal reports whether the two bitsets have identical length and bits.
 func (b *Bitset) Equal(o *Bitset) bool {
 	if b.n != o.n {
@@ -145,13 +123,6 @@ func (b *Bitset) SetAll() {
 		b.words[i] = ^uint64(0)
 	}
 	b.trim()
-}
-
-// ClearAll zeroes every bit.
-func (b *Bitset) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // Fingerprint returns a 64-bit mixing hash of the contents, usable as a map
@@ -227,16 +198,6 @@ func (b *Bitset) UnmarshalBinary(data []byte) error {
 	}
 	b.trim()
 	return nil
-}
-
-// Hex returns the words as a hex string (low word first), a compact codec
-// for logs and checkpoints.
-func (b *Bitset) Hex() string {
-	raw := make([]byte, 8*len(b.words))
-	for i, w := range b.words {
-		putU64(raw[8*i:], w)
-	}
-	return hex.EncodeToString(raw)
 }
 
 func putU64(p []byte, v uint64) {

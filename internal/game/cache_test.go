@@ -75,8 +75,8 @@ func TestPairCacheStaysBounded(t *testing.T) {
 	c := NewPairCache(16)
 	for i := 0; i < 1000; i++ {
 		c.Put(testKey(i), float64(i))
-		if c.Len() > c.Cap() {
-			t.Fatalf("len %d exceeds cap %d at insert %d", c.Len(), c.Cap(), i)
+		if c.Len() > c.Stats().Capacity {
+			t.Fatalf("len %d exceeds cap %d at insert %d", c.Len(), c.Stats().Capacity, i)
 		}
 	}
 	st := c.Stats()
@@ -87,8 +87,8 @@ func TestPairCacheStaysBounded(t *testing.T) {
 
 func TestPairCacheDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		if got := NewPairCache(capacity).Cap(); got != DefaultPairCacheSize {
-			t.Fatalf("NewPairCache(%d).Cap() = %d, want %d", capacity, got, DefaultPairCacheSize)
+		if got := NewPairCache(capacity).Stats().Capacity; got != DefaultPairCacheSize {
+			t.Fatalf("NewPairCache(%d) capacity = %d, want %d", capacity, got, DefaultPairCacheSize)
 		}
 	}
 }

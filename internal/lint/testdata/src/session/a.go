@@ -2,11 +2,7 @@
 // Rank() branch must be received on a peer side, or the ranks deadlock.
 package session
 
-import (
-	"time"
-
-	"fixtures/mpi"
-)
+import "fixtures/mpi"
 
 const (
 	tagFitness = 1
@@ -89,20 +85,6 @@ func loopSession(c *mpi.Comm) {
 			_, _ = c.Recv(w, tagRows)
 		}
 	} else {
-		_ = c.Send(0, tagRows, nil)
-	}
-}
-
-// asyncPair: Isend/Irecv and RecvTimeout participate like their
-// blocking forms. Clean.
-func asyncPair(c *mpi.Comm, d time.Duration) {
-	if c.Rank() == 0 {
-		r := c.Irecv(1, tagFitness)
-		_, _ = r.Wait()
-		_, _ = c.RecvTimeout(1, tagRows, d)
-	} else {
-		r := c.Isend(0, tagFitness, nil)
-		_, _ = r.Wait()
 		_ = c.Send(0, tagRows, nil)
 	}
 }

@@ -20,8 +20,9 @@ func bad(c *mpi.Comm) error {
 	if _, err := c.Recv(0, 2); err != nil { // want `magic tag literal in Recv`
 		return err
 	}
-	r := c.Irecv(0, 1+2) // want `magic tag literal in Irecv`
-	r.Cancel()
+	if _, err := c.Recv(0, 1+2); err != nil { // want `magic tag literal in Recv`
+		return err
+	}
 	if err := c.Send(1, tagReserved, "x"); err != nil { // want `tag constant 1073741824 in Send is outside the user range`
 		return err
 	}
@@ -45,10 +46,6 @@ func good(c *mpi.Comm) error {
 		if err := c.Send(w, tagBase+w, "x"); err != nil { // dynamic tag built from a named base
 			return err
 		}
-	}
-	r := c.Irecv(0, tagFitness)
-	if _, err := r.Wait(); err != nil {
-		return err
 	}
 	return nil
 }

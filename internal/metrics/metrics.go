@@ -51,13 +51,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// DurationBuckets is the default latency histogram layout: exponential
-// upper bounds in seconds from one microsecond to ten seconds, spanning
-// a point-to-point hop up to a full-recompute generation.
-func DurationBuckets() []float64 {
-	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-}
-
 // Histogram is a fixed-bucket histogram with atomic bucket counts. An
 // observation lands in the first bucket whose upper bound is >= the
 // value (Prometheus `le` semantics); values above every bound land in

@@ -409,6 +409,7 @@ func (w *World) Shrink(survivors []int) (*World, error) {
 	// Wire frames that raced ahead of this Shrink land now, inside the
 	// registry lock, so they order before anything routed afterwards.
 	root.flushPendingWire(key, sub)
+	root.applyDepartures(sub)
 	root.wmu.Unlock()
 	// A Shrink racing past the end of Run builds a world no send can ever
 	// reach: finish its inboxes immediately so a receive on it fails fast

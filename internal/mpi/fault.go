@@ -24,12 +24,10 @@ var ErrInjectedFault = errors.New("mpi: injected fault")
 // matching message arrives.
 var ErrRecvTimeout = errors.New("mpi: receive timed out")
 
-// ErrRecvCancelled is returned by a pending Irecv after Request.Cancel.
-var ErrRecvCancelled = errors.New("mpi: receive cancelled")
-
-// ErrShutdown is returned by receives still pending after every rank has
-// returned from Run (the world is torn down, so no matching send can ever
-// arrive).
+// ErrShutdown is returned by receives that no send can ever match: ones
+// still pending after every rank has returned from Run (the world is torn
+// down), and, on a networked world, ones naming a peer whose goodbye has
+// been processed.
 var ErrShutdown = errors.New("mpi: world shut down")
 
 // RankFailedError reports that a specific rank failed, taking the world

@@ -132,11 +132,12 @@ func TestDelaySendsStillDeliver(t *testing.T) {
 
 func TestRecvTimeoutExpires(t *testing.T) {
 	w := NewWorld(2)
+	w.SetRecvTimeout(20 * time.Millisecond)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
-		_, err := c.RecvTimeout(1, 1, 20*time.Millisecond)
+		_, err := c.Recv(1, 1)
 		if !errors.Is(err, ErrRecvTimeout) {
 			return errors.New("deadline did not expire")
 		}
@@ -149,11 +150,12 @@ func TestRecvTimeoutExpires(t *testing.T) {
 
 func TestRecvTimeoutDeliversBeforeDeadline(t *testing.T) {
 	w := NewWorld(2)
+	w.SetRecvTimeout(5 * time.Second)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, "on time")
 		}
-		msg, err := c.RecvTimeout(0, 1, 5*time.Second)
+		msg, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
@@ -233,74 +235,30 @@ func TestRunJoinsAllRankErrors(t *testing.T) {
 	}
 }
 
-func TestIrecvCancel(t *testing.T) {
+func TestRecvReleasedAtShutdown(t *testing.T) {
+	// A receive a rank body left pending on another goroutine must not leak
+	// that goroutine past Run: world teardown fails it with ErrShutdown.
 	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		req := c.Irecv(1, 5)
-		req.Cancel()
-		req.Cancel() // idempotent
-		_, err := req.Wait()
-		if !errors.Is(err, ErrRecvCancelled) {
-			return errors.New("cancelled Irecv did not report ErrRecvCancelled")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvReleasedAtShutdown(t *testing.T) {
-	// An Irecv abandoned without Wait or Cancel must not leak its goroutine
-	// past Run: world teardown completes it with ErrShutdown.
-	w := NewWorld(2)
-	var req *Request
+	done := make(chan error, 1)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			req = c.Irecv(1, 5) //egdlint:allow mpisession deliberate orphan: the test asserts world teardown completes it
+			go func() {
+				_, err := c.Recv(1, 5) //egdlint:allow mpisession deliberate orphan: the test asserts world teardown completes it
+				done <- err
+			}()
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := req.Wait()
-		done <- err
-	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrShutdown) {
-			t.Fatalf("leaked Irecv completed with %v, want ErrShutdown", err)
+			t.Fatalf("orphaned Recv completed with %v, want ErrShutdown", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("leaked Irecv still pending after Run returned")
-	}
-}
-
-func TestCancelAfterMatchIsNoOp(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 5, "payload")
-		}
-		req := c.Irecv(0, 5)
-		msg, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		req.Cancel() // completed: must not disturb the result
-		if msg.Payload.(string) != "payload" {
-			return errors.New("wrong payload")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("orphaned Recv still pending after Run returned")
 	}
 }
 

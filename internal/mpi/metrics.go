@@ -184,8 +184,6 @@ func TagLabel(tag int) string {
 		return "coll_barrier_up"
 	case tagBarrierDown:
 		return "coll_barrier_down"
-	case tagScatter:
-		return "coll_scatter"
 	case AnyTag:
 		return "any"
 	}
@@ -210,10 +208,6 @@ func (w *World) EnableMetrics() {
 	}
 	w.commMetrics = cm
 }
-
-// MetricsEnabled reports whether EnableMetrics was called on this
-// world's root.
-func (w *World) MetricsEnabled() bool { return w.rootW().commMetrics != nil }
 
 // Metrics returns this rank's communication accounting handle, nil
 // unless the root world called EnableMetrics. The handle survives

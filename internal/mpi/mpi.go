@@ -7,13 +7,12 @@
 //
 //   - Send is buffered (never blocks); Recv blocks until a matching message
 //     (by source and tag, with wildcards) arrives. Messages from the same
-//     (source, tag) pair are non-overtaking.
-//   - Isend/Irecv return Requests completed by Wait, modelling the paper's
-//     non-blocking point-to-point fitness returns over the torus.
-//   - Bcast, Reduce, Allreduce, Gather, Allgather, and Barrier are
-//     collectives implemented over binomial trees of point-to-point
-//     messages, modelling the Blue Gene collective network the paper uses
-//     for pair-selection announcements and global strategy updates.
+//     (source, tag) pair are non-overtaking. These carry the paper's
+//     point-to-point fitness returns over the torus.
+//   - Bcast, Reduce (a sum), Gather, and Barrier are collectives
+//     implemented over binomial trees of point-to-point messages,
+//     modelling the Blue Gene collective network the paper uses for
+//     pair-selection announcements and global strategy updates.
 //
 // The runtime counts messages and bytes per rank; the perfmodel package uses
 // these counts to project communication cost onto the Blue Gene machine
@@ -68,6 +67,14 @@ type inbox struct {
 	// exhausting queued matches: the abort cause (who failed) or
 	// ErrShutdown once every rank has left Run.
 	done error
+	// left[src], once set, is the error a take naming src returns after
+	// exhausting queued matches: src's goodbye frame has been processed,
+	// and goodbyes follow a peer's data frames on the same reliable link,
+	// so nothing from src can still arrive. nleft counts the set entries.
+	// Nil until a networked peer leaves; indexed by the owning world's
+	// dense rank.
+	left  []error
+	nleft int
 }
 
 func newInbox() *inbox {
@@ -93,13 +100,49 @@ func (ib *inbox) finish(cause error) {
 	ib.cond.Broadcast()
 }
 
+// depart records that source src (of a world of size ranks) has left for
+// good; see inbox.left.
+func (ib *inbox) depart(src, size int, cause error) {
+	ib.mu.Lock()
+	if ib.left == nil {
+		ib.left = make([]error, size)
+	}
+	if ib.left[src] == nil {
+		ib.left[src] = cause
+		ib.nleft++
+	}
+	ib.mu.Unlock()
+	ib.cond.Broadcast()
+}
+
+// departed returns the error a take from src fails with once no match can
+// arrive any more: src has left, or, for AnySource, every other rank has.
+// Callers hold ib.mu.
+func (ib *inbox) departed(src int) error {
+	if ib.left == nil {
+		return nil
+	}
+	if src != AnySource {
+		return ib.left[src]
+	}
+	if ib.nleft < len(ib.left)-1 {
+		return nil
+	}
+	for _, err := range ib.left {
+		if err != nil {
+			return fmt.Errorf("mpi: every peer has left: %w", err)
+		}
+	}
+	return nil
+}
+
 // take removes and returns the first message matching (src, tag); it blocks
-// until one arrives, the optional timeout expires, the optional cancel flag
-// is raised, or the world ends (abort or shutdown). The AnyTag wildcard
-// matches user tags only — collective-protocol messages live in their own
-// context, as in MPI, so a wildcard receive can never steal a broadcast or
-// barrier packet.
-func (ib *inbox) take(src, tag int, timeout time.Duration, cancelled *bool) (envelope, error) {
+// until one arrives, the optional timeout expires, the named source leaves
+// (see inbox.left), or the world ends (abort or shutdown). The AnyTag
+// wildcard matches user tags only — collective-protocol messages live in
+// their own context, as in MPI, so a wildcard receive can never steal a
+// broadcast or barrier packet.
+func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 	var expired bool
 	if timeout > 0 {
 		t := time.AfterFunc(timeout, func() {
@@ -123,11 +166,11 @@ func (ib *inbox) take(src, tag int, timeout time.Duration, cancelled *bool) (env
 		if ib.done != nil {
 			return envelope{}, ib.done
 		}
+		if err := ib.departed(src); err != nil {
+			return envelope{}, err
+		}
 		if expired {
 			return envelope{}, ErrRecvTimeout
-		}
-		if cancelled != nil && *cancelled {
-			return envelope{}, ErrRecvCancelled
 		}
 		ib.cond.Wait()
 	}
@@ -184,6 +227,9 @@ type World struct {
 	// pendingWire buffers wire envelopes addressed to sub-worlds this
 	// process has not built with Shrink yet (see net.go). Guarded by wmu.
 	pendingWire map[string][]pendingEnv
+	// left marks the original ranks whose goodbye has been processed (see
+	// peerLeft). Nil until a peer leaves; guarded by wmu. Root world only.
+	left []bool
 
 	// root is the original world this sub-world was shrunk from (nil on the
 	// root itself); orig maps this world's dense ranks to original ranks
@@ -309,8 +355,8 @@ func (w *World) Stats() Stats {
 // errors.Join, in rank order, so a cascading abort cannot mask the root
 // cause. A rank whose own error is not itself an abort echo is wrapped in
 // *RankFailedError; survivors unwinding on the abort are wrapped as plain
-// cascade errors. After all ranks return, receives still pending (leaked
-// Irecvs) are released with ErrShutdown.
+// cascade errors. After all ranks return, the world is shut down: a
+// receive on a sub-world built later fails with ErrShutdown.
 func (w *World) Run(body func(c *Comm) error) error {
 	if w.root != nil {
 		panic("mpi: Run on a shrunk sub-world; run the root world")
@@ -494,16 +540,9 @@ func (c *Comm) Send(dst, tag int, payload any) error {
 }
 
 // Recv blocks until a message matching (src, tag) arrives. Use AnySource /
-// AnyTag as wildcards. When the world has a default receive deadline
+// AnyTag as wildcards. When the world has a receive deadline
 // (World.SetRecvTimeout), it applies.
 func (c *Comm) Recv(src, tag int) (Message, error) {
-	return c.RecvTimeout(src, tag, 0)
-}
-
-// RecvTimeout is Recv with an explicit deadline: if no matching message
-// arrives within timeout it returns ErrRecvTimeout. A zero timeout falls
-// back to the world's default deadline (unbounded when that is unset too).
-func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) (Message, error) {
 	if src != AnySource {
 		if err := c.checkRank(src); err != nil {
 			return Message{}, err
@@ -514,107 +553,17 @@ func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) (Message, error)
 			return Message{}, err
 		}
 	}
-	return c.recvDeadline(src, tag, timeout)
+	return c.recv(src, tag)
 }
 
+// recv receives without tag validation (collectives use internal tags).
 func (c *Comm) recv(src, tag int) (Message, error) {
-	return c.recvDeadline(src, tag, 0)
-}
-
-func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (Message, error) {
-	if timeout <= 0 {
-		timeout = c.world.recvTimeout
-	}
-	e, err := c.world.boxes[c.rank].take(src, tag, timeout, nil)
+	e, err := c.world.boxes[c.rank].take(src, tag, c.world.recvTimeout)
 	if err != nil {
 		return Message{}, err
 	}
 	c.accountRecv(e)
 	return Message{Source: e.source, Tag: e.tag, Payload: e.payload}, nil
-}
-
-// Request is a pending non-blocking operation.
-type Request struct {
-	done   chan struct{}
-	msg    Message
-	err    error
-	cancel func()
-}
-
-// Wait blocks until the operation completes and returns its result. For
-// completed Isends the Message is zero-valued.
-func (r *Request) Wait() (Message, error) {
-	<-r.done
-	return r.msg, r.err
-}
-
-// Cancel aborts a pending Irecv: its goroutine stops waiting and Wait
-// returns ErrRecvCancelled. Calling Cancel on a completed request, a
-// request whose message already matched, or an Isend request is a no-op.
-// Cancel is safe to call from any goroutine, any number of times.
-func (r *Request) Cancel() {
-	if r.cancel != nil {
-		r.cancel()
-	}
-}
-
-// Isend starts a non-blocking send. With this runtime's buffered sends it
-// completes immediately; the Request form is kept so the algorithm code
-// reads like its MPI original.
-func (c *Comm) Isend(dst, tag int, payload any) *Request {
-	r := &Request{done: make(chan struct{})}
-	r.err = c.Send(dst, tag, payload)
-	close(r.done)
-	return r
-}
-
-// Irecv starts a non-blocking receive completed by Wait and abandoned by
-// Cancel. An Irecv that never matches is also released when the world
-// aborts or shuts down, so it cannot leak its goroutine past Run.
-func (c *Comm) Irecv(src, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			r.err = err
-			close(r.done)
-			return r
-		}
-	}
-	if tag != AnyTag {
-		if err := c.checkUserTag(tag); err != nil {
-			r.err = err
-			close(r.done)
-			return r
-		}
-	}
-	// A request created on an already-revoked communicator fails fast with
-	// the revocation cause rather than waiting out the receive deadline: no
-	// matching send can ever complete on a revoked comm.
-	if err := c.world.revokeErr(); err != nil {
-		r.err = err
-		close(r.done)
-		return r
-	}
-	ib := c.world.boxes[c.rank]
-	cancelled := new(bool)
-	r.cancel = func() {
-		ib.mu.Lock()
-		*cancelled = true
-		ib.mu.Unlock()
-		ib.cond.Broadcast()
-	}
-	timeout := c.world.recvTimeout
-	go func() {
-		e, err := ib.take(src, tag, timeout, cancelled)
-		if err != nil {
-			r.err = err
-		} else {
-			c.accountRecv(e)
-			r.msg = Message{Source: e.source, Tag: e.tag, Payload: e.payload}
-		}
-		close(r.done)
-	}()
-	return r
 }
 
 // payloadBytes estimates the wire size of a payload for the communication
@@ -633,14 +582,6 @@ func payloadBytes(p any) uint64 {
 		return uint64(8 * len(v))
 	case []uint32:
 		return uint64(4 * len(v))
-	case []any:
-		// Aggregate payloads (Gather results fed back through Bcast in
-		// Allgather) cost the sum of their elements on the wire.
-		var total uint64
-		for _, e := range v {
-			total += payloadBytes(e)
-		}
-		return total
 	case string:
 		return uint64(len(v))
 	case float64, int, uint64, int64, uint32, int32:

@@ -182,6 +182,13 @@ func (w *World) peerExited(orig int, ok bool, msg string, cascade bool) {
 	if orig < 0 || orig >= w.size {
 		return
 	}
+	// A clean or cascade exit is final as soon as the goodbye lands. An
+	// error exit is not marked: it aborts a plain world, and on an eviction
+	// world the monitor evicts the peer, so receivers unwind through
+	// revocation and recover.
+	if ok || (cascade && w.evict) {
+		w.peerLeft(orig)
+	}
 	if !w.evict {
 		if !ok {
 			w.abortWith(&RankFailedError{Rank: orig, Err: errors.New(msg)})
@@ -204,6 +211,48 @@ func (w *World) peerExited(orig int, ok bool, msg string, cascade bool) {
 	}
 	w.rankExited(orig, err)
 	w.netAgreeKick()
+}
+
+// peerLeft fails receives that name the departed original rank, on every
+// world it belongs to, instead of letting them block: its goodbye came
+// after its last data frame, so none of them can ever match. Shrink applies
+// the same record to sub-worlds built later (see applyDepartures).
+func (w *World) peerLeft(orig int) {
+	w.wmu.Lock()
+	if w.left == nil {
+		w.left = make([]bool, w.size)
+	}
+	w.left[orig] = true
+	worlds := append([]*World(nil), w.worlds...)
+	w.wmu.Unlock()
+	for _, sub := range worlds {
+		sub.depart(orig)
+	}
+}
+
+// applyDepartures applies every departure recorded so far to sub. Callers
+// hold the root's wmu.
+func (w *World) applyDepartures(sub *World) {
+	for orig, gone := range w.left {
+		if gone {
+			sub.depart(orig)
+		}
+	}
+}
+
+// depart marks the original rank as departed in each of this world's
+// inboxes, if the rank is a member.
+func (w *World) depart(orig int) {
+	for dense := 0; dense < w.size; dense++ {
+		if w.origOf(dense) != orig {
+			continue
+		}
+		cause := fmt.Errorf("mpi: rank %d has left; no message from it can arrive: %w", orig, ErrShutdown)
+		for _, ib := range w.boxes {
+			ib.depart(dense, w.size, cause)
+		}
+		return
+	}
 }
 
 // deliverRemote routes a decoded data frame into the inbox of rank dst of

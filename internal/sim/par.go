@@ -353,7 +353,7 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		if u.MeanFitnessWanted {
 			// Join the workers' payoff reduction; Nature contributes 0.
 			tr := n.pt.begin()
-			total, err := c.Reduce(0, 0, mpi.OpSum)
+			total, err := c.Reduce(0, 0)
 			if err != nil {
 				return err
 			}
@@ -389,7 +389,7 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 		// tally: both sides evaluate the same refresh predicate over the
 		// same window, so any divergence means the global views drifted.
 		tr := n.pt.begin()
-		games, err := c.Reduce(0, 0, mpi.OpSum)
+		games, err := c.Reduce(0, 0)
 		if err != nil {
 			return err
 		}
@@ -641,7 +641,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 				partial += v
 			}
 			tr := pt.begin()
-			if _, err := c.Reduce(0, partial, mpi.OpSum); err != nil {
+			if _, err := c.Reduce(0, partial); err != nil {
 				return err
 			}
 			pt.end(PhaseReduce, tr)
@@ -668,7 +668,7 @@ func workerRank(cfg Config, c *mpi.Comm) error {
 		}
 		pt.end(PhaseFitnessComm, tf)
 		tr := pt.begin()
-		if _, err := c.Reduce(0, float64(games), mpi.OpSum); err != nil {
+		if _, err := c.Reduce(0, float64(games)); err != nil {
 			return err
 		}
 		pt.end(PhaseReduce, tr)

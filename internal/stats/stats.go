@@ -1,87 +1,12 @@
-// Package stats provides the numerical accumulators the simulation uses to
-// summarise evolution trajectories: streaming mean/variance (Welford), time
-// series with fixed-stride sampling, and strategy-abundance tracking used
-// for the paper's Fig. 2 analysis.
+// Package stats provides the accumulators the simulation uses to summarise
+// evolution trajectories: time series with fixed-stride sampling, and
+// strategy-abundance tracking used for the paper's Fig. 2 analysis.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
-
-// Welford accumulates streaming mean and variance. The zero value is ready
-// to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds a value into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 with < 2 samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }
-
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // Series is a time series sampled at a fixed generation stride, bounding
 // memory for the paper's 10^7-generation runs.
@@ -122,9 +47,6 @@ func (s *Series) Last() (gen int, v float64, ok bool) {
 	}
 	return s.gens[len(s.gens)-1], s.vals[len(s.vals)-1], true
 }
-
-// Values returns the kept values (not a copy).
-func (s *Series) Values() []float64 { return s.vals }
 
 // Truncate discards all samples past the first n, rolling the series back to
 // an earlier observation point — used when a recovered run replays
@@ -195,18 +117,4 @@ func (a *Abundance) Top(k int) []Entry {
 		out = out[:k]
 	}
 	return out
-}
-
-// Entropy returns the Shannon entropy (bits) of the strategy distribution —
-// high at random initialisation, collapsing as one strategy fixates.
-func (a *Abundance) Entropy() float64 {
-	if a.total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range a.counts {
-		p := float64(c) / float64(a.total)
-		h -= p * math.Log2(p)
-	}
-	return h
 }
